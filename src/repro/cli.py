@@ -48,16 +48,47 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 __all__ = ["main"]
 
 
+class CLIError(Exception):
+    """A bad input: printed as one ``repro: error:`` line, exit status 2."""
+
+
+def _open_input(path: str, load):
+    """``load(path)``, with a missing or unreadable file as a CLIError."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise CLIError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CLIError(f"cannot read {path}: not UTF-8 text") from exc
+
+
+def _read_source(path: str) -> str:
+    return _open_input(path, lambda p: Path(p).read_text())
+
+
+@contextmanager
+def _front_end_errors(path: str):
+    """Report malformed Verilog in ``path`` as a CLIError naming the file."""
+    from .verilog import ElaborationError, VerilogSyntaxError
+
+    try:
+        yield
+    except (VerilogSyntaxError, ElaborationError) as exc:
+        raise CLIError(f"{path}: {exc}") from exc
+
+
 def _read_design(path: str):
     from .verilog import elaborate_source
 
-    source = Path(path).read_text()
-    return elaborate_source(source)
+    source = _read_source(path)
+    with _front_end_errors(path):
+        return elaborate_source(source)
 
 
 def _cmd_synth(args) -> int:
@@ -146,8 +177,8 @@ def _cmd_predict(args) -> int:
     from .core.persistence import load_sns
     from .runtime import BatchPredictor, PredictionCache
 
-    sns = load_sns(args.model)
     graphs = [_read_design(path) for path in args.designs]
+    sns = _open_input(args.model, load_sns)
     cache = PredictionCache(disk_dir=args.cache_dir)
     engine = BatchPredictor(sns, cache=cache, caching=not args.no_cache,
                             executor=args.executor, precision=args.precision,
@@ -336,12 +367,13 @@ def _cmd_compile(args) -> int:
     from .core import PathSampler
     from .runtime import FrontendCache, compile_source_profiled
 
-    source = Path(args.design).read_text()
+    source = _read_source(args.design)
     cache = (FrontendCache(disk_dir=args.cache_dir)
              if args.cache_dir else FrontendCache())
     sampler = PathSampler(k=args.k) if args.sample else None
-    cg, profile = compile_source_profiled(source, top=args.top, cache=cache,
-                                          sampler=sampler)
+    with _front_end_errors(args.design):
+        cg, profile = compile_source_profiled(source, top=args.top,
+                                              cache=cache, sampler=sampler)
     counts = cg.token_counts()
     print(f"design:  {cg.name}")
     print(f"nodes:   {cg.num_nodes} ({len(counts)} distinct tokens)")
@@ -629,7 +661,11 @@ def main(argv: list[str] | None = None) -> int:
     p_cgc.set_defaults(fn=_cmd_cache_gc)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CLIError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

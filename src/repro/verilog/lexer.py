@@ -1,11 +1,16 @@
-"""Tokenizer for the supported Verilog-2001 subset."""
+"""Tokenizer for the supported Verilog-2001 subset.
+
+:func:`tokenize` returns a :class:`TokenStream` of parallel lists, not one
+object per token: an emitted design can hold hundreds of thousands of
+tokens, and every full garbage collection rescans live objects.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-__all__ = ["Token", "VerilogSyntaxError", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "TokenStream", "VerilogSyntaxError", "tokenize", "KEYWORDS"]
 
 KEYWORDS = frozenset({
     "module", "endmodule", "input", "output", "inout", "wire", "reg",
@@ -15,16 +20,15 @@ KEYWORDS = frozenset({
     "case", "endcase", "default",
 })
 
-_TOKEN_SPEC = [
-    ("COMMENT", r"//[^\n]*|/\*.*?\*/"),
-    ("NUMBER", r"\d+'[bodhBODH][0-9a-fA-F_xXzZ?]+|\d+"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_$]*"),
-    ("OP", r"<=|>=|==|!=|<<|>>|&&|\|\||[-+*/%&|^~!<>=?:#.@(){}\[\],;]"),
-    ("WS", r"\s+"),
-    ("BAD", r"."),
-]
-_MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC),
-                     re.DOTALL)
+# One match per comment or token: the whitespace before it, then a comment,
+# number, identifier, operator or stray character.  Only trailing
+# whitespace is left unmatched.
+_MASTER = re.compile(
+    r"(\s*)(?:(//[^\n]*|/\*.*?\*/)"
+    r"|(\d+'[bodhBODH][0-9a-fA-F_xXzZ?]+|\d+)"
+    r"|([A-Za-z_][A-Za-z0-9_$]*)"
+    r"|(<=|>=|==|!=|<<|>>|&&|\|\||[-+*/%&|^~!<>=?:#.@(){}\[\],;])"
+    r"|(\S))", re.DOTALL)
 
 
 class VerilogSyntaxError(SyntaxError):
@@ -41,24 +45,46 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, line {self.line})"
 
 
-def tokenize(source: str) -> list[Token]:
+class TokenStream:
+    """Parallel token lists ending in EOF; indexing yields :class:`Token`."""
+
+    __slots__ = ("kinds", "texts", "lines")
+
+    def __init__(self, kinds: list[str], texts: list[str], lines: list[int]):
+        self.kinds, self.texts, self.lines = kinds, texts, lines
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(Token, self.kinds[index], self.texts[index],
+                            self.lines[index]))
+        return Token(self.kinds[index], self.texts[index], self.lines[index])
+
+    def __iter__(self):
+        return map(Token, self.kinds, self.texts, self.lines)
+
+
+def tokenize(source: str) -> TokenStream:
     """Tokenize Verilog source; comments and whitespace are dropped."""
-    tokens: list[Token] = []
+    kinds, texts, lines = [], [], []
     line = 1
-    for match in _MASTER.finditer(source):
-        kind = match.lastgroup
-        text = match.group()
-        if kind in ("WS", "COMMENT"):
-            line += text.count("\n")
+    for space, comment, number, ident, op, bad in _MASTER.findall(source):
+        line += space.count("\n")
+        if comment:
+            line += comment.count("\n")
             continue
-        if kind == "BAD":
-            raise VerilogSyntaxError(f"unexpected character {text!r} at line {line}")
-        if kind == "IDENT" and text in KEYWORDS:
-            kind = "KEYWORD"
-        tokens.append(Token(kind, text, line))
-        line += text.count("\n")
-    tokens.append(Token("EOF", "", line))
-    return tokens
+        if not (op or ident or number):
+            raise VerilogSyntaxError(f"unexpected character {bad!r} at line {line}")
+        kinds.append("OP" if op else "NUMBER" if number
+                     else "KEYWORD" if ident in KEYWORDS else "IDENT")
+        texts.append(op or ident or number)
+        lines.append(line)
+    kinds.append("EOF")
+    texts.append("")
+    lines.append(source.count("\n") + 1)
+    return TokenStream(kinds, texts, lines)
 
 
 def parse_number(text: str) -> tuple[int, int | None]:

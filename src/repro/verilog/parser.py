@@ -11,7 +11,7 @@ and unary reductions).
 from __future__ import annotations
 
 from . import ast
-from .lexer import Token, VerilogSyntaxError, parse_number, tokenize
+from .lexer import TokenStream, VerilogSyntaxError, parse_number, tokenize
 
 __all__ = ["Parser", "parse_source"]
 
@@ -26,38 +26,43 @@ _BINARY_PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 
+_EXPR_END = frozenset({"]", ":", ";", ")", ",", "}"})
+
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, tokens: TokenStream):
+        self._kinds, self._texts, self._lines = tokens.kinds, tokens.texts, tokens.lines
         self._pos = 0
 
     # ------------------------------------------------------------------ #
-    # Token plumbing
+    # Token plumbing.  ``_pos`` never passes the final EOF token: nothing
+    # expects or accepts its kind or its empty text.
     # ------------------------------------------------------------------ #
-    def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    def _peek(self) -> str:
+        return self._texts[self._pos]
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind != "EOF":
-            self._pos += 1
-        return token
+    def _advance(self) -> str:
+        pos = self._pos
+        if self._kinds[pos] != "EOF":
+            self._pos = pos + 1
+        return self._texts[pos]
 
-    def _expect(self, text: str | None = None, kind: str | None = None) -> Token:
-        token = self._peek()
-        if text is not None and token.text != text:
+    def _expect(self, text: str | None = None, kind: str | None = None) -> str:
+        pos = self._pos
+        found = self._texts[pos]
+        if text is not None and found != text:
             raise VerilogSyntaxError(
-                f"expected {text!r} but found {token.text!r} at line {token.line}")
-        if kind is not None and token.kind != kind:
+                f"expected {text!r} but found {found!r} at line {self._lines[pos]}")
+        if kind is not None and self._kinds[pos] != kind:
             raise VerilogSyntaxError(
-                f"expected {kind} but found {token.kind} ({token.text!r}) "
-                f"at line {token.line}")
-        return self._advance()
+                f"expected {kind} but found {self._kinds[pos]} ({found!r}) "
+                f"at line {self._lines[pos]}")
+        self._pos = pos + 1
+        return found
 
     def _accept(self, text: str) -> bool:
-        if self._peek().text == text:
-            self._advance()
+        if self._texts[self._pos] == text:
+            self._pos += 1
             return True
         return False
 
@@ -66,14 +71,14 @@ class Parser:
     # ------------------------------------------------------------------ #
     def parse(self) -> ast.SourceFile:
         source = ast.SourceFile()
-        while self._peek().kind != "EOF":
+        while self._kinds[self._pos] != "EOF":
             module = self._parse_module()
             source.modules[module.name] = module
         return source
 
     def _parse_module(self) -> ast.ModuleDef:
         self._expect("module")
-        name = self._expect(kind="IDENT").text
+        name = self._expect(kind="IDENT")
         module = ast.ModuleDef(name)
         if self._accept("#"):
             self._parse_param_list(module)
@@ -88,7 +93,7 @@ class Parser:
         self._expect("(")
         while True:
             self._expect("parameter")
-            name = self._expect(kind="IDENT").text
+            name = self._expect(kind="IDENT")
             self._expect("=")
             module.params.append(ast.ParamDecl(name, self._parse_expr()))
             if not self._accept(","):
@@ -99,19 +104,18 @@ class Parser:
         if self._accept(")"):
             return
         while True:
-            token = self._peek()
-            if token.text in ("input", "output", "inout"):
+            if self._peek() in ("input", "output", "inout"):
                 module.ports.append(self._parse_ansi_port())
             else:
                 # Non-ANSI style: bare names; directions come later.
-                name = self._expect(kind="IDENT").text
+                name = self._expect(kind="IDENT")
                 module.ports.append(ast.PortDecl("inout", name, None, None))
             if not self._accept(","):
                 break
         self._expect(")")
 
     def _parse_ansi_port(self) -> ast.PortDecl:
-        direction = self._advance().text
+        direction = self._advance()
         is_reg = self._accept("reg")
         self._accept("wire")
         msb = lsb = None
@@ -120,41 +124,41 @@ class Parser:
             self._expect(":")
             lsb = self._parse_expr()
             self._expect("]")
-        name = self._expect(kind="IDENT").text
+        name = self._expect(kind="IDENT")
         return ast.PortDecl(direction, name, msb, lsb, is_reg)
 
     # ------------------------------------------------------------------ #
     # Module items
     # ------------------------------------------------------------------ #
     def _parse_module_item(self, module: ast.ModuleDef) -> None:
-        token = self._peek()
-        if token.text in ("input", "output", "inout"):
+        text = self._peek()
+        if text in ("input", "output", "inout"):
             self._parse_nonansi_port_decl(module)
-        elif token.text == "genvar":
+        elif text == "genvar":
             self._advance()
             self._expect(kind="IDENT")
             while self._accept(","):
                 self._expect(kind="IDENT")
             self._expect(";")
-        elif token.text == "generate":
+        elif text == "generate":
             self._parse_generate(module)
-        elif token.text in ("wire", "reg", "integer"):
+        elif text in ("wire", "reg", "integer"):
             self._parse_net_decl(module)
-        elif token.text in ("parameter", "localparam"):
+        elif text in ("parameter", "localparam"):
             self._advance()
-            name = self._expect(kind="IDENT").text
+            name = self._expect(kind="IDENT")
             self._expect("=")
             module.params.append(ast.ParamDecl(name, self._parse_expr()))
             self._expect(";")
-        elif token.text == "assign":
+        elif text == "assign":
             self._parse_assign(module)
-        elif token.text == "always":
+        elif text == "always":
             self._parse_always(module)
-        elif token.kind == "IDENT":
+        elif self._kinds[self._pos] == "IDENT":
             self._parse_instance(module)
         else:
             raise VerilogSyntaxError(
-                f"unsupported module item {token.text!r} at line {token.line}")
+                f"unsupported module item {text!r} at line {self._lines[self._pos]}")
 
     def _parse_range(self):
         msb = lsb = None
@@ -166,12 +170,12 @@ class Parser:
         return msb, lsb
 
     def _parse_nonansi_port_decl(self, module: ast.ModuleDef) -> None:
-        direction = self._advance().text
+        direction = self._advance()
         is_reg = self._accept("reg")
         self._accept("wire")
         msb, lsb = self._parse_range()
         while True:
-            name = self._expect(kind="IDENT").text
+            name = self._expect(kind="IDENT")
             replaced = False
             for i, port in enumerate(module.ports):
                 if port.name == name:
@@ -184,12 +188,12 @@ class Parser:
         self._expect(";")
 
     def _parse_net_decl(self, module: ast.ModuleDef) -> None:
-        kind = self._advance().text
+        kind = self._advance()
         if kind == "integer":
             kind = "reg"
         msb, lsb = self._parse_range()
         while True:
-            name = self._expect(kind="IDENT").text
+            name = self._expect(kind="IDENT")
             module.nets.append(ast.NetDecl(kind, name, msb, lsb))
             if self._accept("="):  # wire w = expr;
                 module.assigns.append(
@@ -200,7 +204,7 @@ class Parser:
 
     def _parse_assign(self, module: ast.ModuleDef) -> None:
         self._expect("assign")
-        target = self._expect(kind="IDENT").text
+        target = self._expect(kind="IDENT")
         select = None
         if self._accept("["):
             msb = self._parse_expr()
@@ -218,9 +222,9 @@ class Parser:
         self._expect("always")
         self._expect("@")
         self._expect("(")
-        if self._peek().text in ("posedge", "negedge"):
+        if self._peek() in ("posedge", "negedge"):
             self._advance()
-        clock = self._expect(kind="IDENT").text
+        clock = self._expect(kind="IDENT")
         self._expect(")")
         statements = self._parse_statement_block()
         module.always_blocks.append(ast.AlwaysBlock(clock, statements))
@@ -235,10 +239,10 @@ class Parser:
         return (self._parse_statement(),)
 
     def _parse_statement(self):
-        token = self._peek()
-        if token.text == "if":
+        text = self._peek()
+        if text == "if":
             return self._parse_if()
-        if token.text == "case":
+        if text == "case":
             return self._parse_case()
         return self._parse_nonblocking()
 
@@ -260,7 +264,7 @@ class Parser:
         self._expect(")")
         items: list[tuple] = []
         while not self._accept("endcase"):
-            if self._peek().text == "default":
+            if self._peek() == "default":
                 self._advance()
                 self._expect(":")
                 items.append((None, self._parse_statement_block()))
@@ -271,7 +275,7 @@ class Parser:
         return ast.CaseStatement(subject, tuple(items))
 
     def _parse_nonblocking(self) -> ast.NonBlockingAssign:
-        target = self._expect(kind="IDENT").text
+        target = self._expect(kind="IDENT")
         self._expect("<=")
         value = self._parse_expr()
         self._expect(";")
@@ -285,19 +289,19 @@ class Parser:
     def _parse_generate_for(self) -> ast.GenerateFor:
         self._expect("for")
         self._expect("(")
-        genvar = self._expect(kind="IDENT").text
+        genvar = self._expect(kind="IDENT")
         self._expect("=")
         start = self._parse_expr()
         self._expect(";")
         # condition: genvar < limit (the common canonical form)
-        cond_var = self._expect(kind="IDENT").text
+        cond_var = self._expect(kind="IDENT")
         if cond_var != genvar:
             raise VerilogSyntaxError(
                 f"generate condition must test the genvar {genvar!r}")
         self._expect("<")
         limit = self._parse_expr()
         self._expect(";")
-        step_var = self._expect(kind="IDENT").text
+        step_var = self._expect(kind="IDENT")
         self._expect("=")
         step_expr = self._parse_expr()
         if step_var != genvar:
@@ -310,7 +314,7 @@ class Parser:
         self._expect("begin")
         label = ""
         if self._accept(":"):
-            label = self._expect(kind="IDENT").text
+            label = self._expect(kind="IDENT")
         # Parse body items into a scratch module container.
         scratch = ast.ModuleDef("__generate__")
         while not self._accept("end"):
@@ -325,20 +329,20 @@ class Parser:
             always_blocks=tuple(scratch.always_blocks))
 
     def _parse_instance(self, module: ast.ModuleDef) -> None:
-        module_name = self._expect(kind="IDENT").text
+        module_name = self._expect(kind="IDENT")
         params: list[tuple[str, ast.Expr]] = []
         if self._accept("#"):
             self._expect("(")
             params = self._parse_named_connections()
             self._expect(")")
-        instance_name = self._expect(kind="IDENT").text
+        instance_name = self._expect(kind="IDENT")
         self._expect("(")
         connections: list[tuple[str, ast.Expr]]
-        if self._peek().text == ".":
+        if self._peek() == ".":
             connections = self._parse_named_connections()
         else:
             connections = []
-            if self._peek().text != ")":
+            if self._peek() != ")":
                 while True:
                     connections.append(("", self._parse_expr()))
                     if not self._accept(","):
@@ -352,7 +356,7 @@ class Parser:
         out: list[tuple[str, ast.Expr]] = []
         while True:
             self._expect(".")
-            port = self._expect(kind="IDENT").text
+            port = self._expect(kind="IDENT")
             self._expect("(")
             out.append((port, self._parse_expr()))
             self._expect(")")
@@ -364,6 +368,15 @@ class Parser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------ #
     def _parse_expr(self) -> ast.Expr:
+        pos = self._pos
+        kind = self._kinds[pos]
+        if (kind == "IDENT" or kind == "NUMBER") and self._texts[pos + 1] in _EXPR_END:
+            # A lone name or number, as every select bound is: the node the
+            # precedence climb would return, without the climb.
+            self._pos = pos + 1
+            text = self._texts[pos]
+            return (ast.Identifier(text) if kind == "IDENT"
+                    else ast.Number(*parse_number(text)))
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
@@ -378,34 +391,35 @@ class Parser:
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         left = self._parse_unary()
         while True:
-            op = self._peek().text
+            op = self._texts[self._pos]
             # '<=' inside an expression context is less-or-equal.
             prec = _BINARY_PRECEDENCE.get(op)
             if prec is None or prec < min_prec:
                 return left
-            self._advance()
+            self._pos += 1
             right = self._parse_binary(prec + 1)
             left = ast.BinaryOp(op, left, right)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.text in ("~", "!", "-", "&", "|", "^"):
-            self._advance()
-            return ast.UnaryOp(token.text, self._parse_unary())
-        if token.text == "+":
-            self._advance()
+        text = self._texts[self._pos]
+        if text in ("~", "!", "-", "&", "|", "^"):
+            self._pos += 1
+            return ast.UnaryOp(text, self._parse_unary())
+        if text == "+":
+            self._pos += 1
             return self._parse_unary()
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind == "NUMBER":
-            self._advance()
-            value, width = parse_number(token.text)
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind == "NUMBER":
+            self._pos = pos + 1
+            value, width = parse_number(self._texts[pos])
             return self._parse_selects(ast.Number(value, width))
-        if token.kind == "IDENT":
-            self._advance()
-            return self._parse_selects(ast.Identifier(token.text))
+        if kind == "IDENT":
+            self._pos = pos + 1
+            return self._parse_selects(ast.Identifier(self._texts[pos]))
         if self._accept("("):
             inner = self._parse_expr()
             self._expect(")")
@@ -417,11 +431,11 @@ class Parser:
             self._expect("}")
             return ast.Concat(tuple(parts))
         raise VerilogSyntaxError(
-            f"unexpected token {token.text!r} at line {token.line}")
+            f"unexpected token {self._texts[pos]!r} at line {self._lines[pos]}")
 
     def _parse_selects(self, base: ast.Expr) -> ast.Expr:
-        while self._peek().text == "[":
-            self._advance()
+        while self._texts[self._pos] == "[":
+            self._pos += 1
             first = self._parse_expr()
             if self._accept(":"):
                 second = self._parse_expr()

@@ -9,6 +9,9 @@ directives:
 - ```include "file.v"`` — resolved against the including file's
   directory then the supplied search paths, with cycle detection;
 - ```NAME`` — macro expansion (recursively, with self-reference guard).
+
+Directives and macro uses inside ``//`` and ``/* */`` comments are left
+as they are; the lexer drops the comments afterwards.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .lexer import VerilogSyntaxError
 __all__ = ["preprocess", "PreprocessorError"]
 
 _DIRECTIVE = re.compile(r"`(\w+)")
+_COMMENT_START = re.compile(r"//|/\*")
 _MAX_EXPANSION_DEPTH = 32
 
 
@@ -48,58 +52,88 @@ class _State:
 
 def _process(source: str, state: _State, origin: Path | None,
              stack: tuple[Path, ...]) -> str:
+    # One output line per source line (an included file's lines go in
+    # place of its `include), so lexer line numbers point into the source.
     out_lines: list[str] = []
     # Condition stack entries: (taking, seen_else).
     conditions: list[list[bool]] = []
+    in_comment = False   # a /* */ comment is open at the start of the line
 
     def active() -> bool:
         return all(taking for taking, _ in conditions)
 
     for lineno, line in enumerate(source.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("`"):
-            match = _DIRECTIVE.match(stripped)
-            name = match.group(1) if match else ""
-            rest = stripped[len(f"`{name}"):].strip()
-            if name == "define":
-                if active():
-                    _handle_define(rest, state, lineno)
-                continue
-            if name == "undef":
-                if active():
-                    state.macros.pop(rest.split()[0], None)
-                continue
-            if name in ("ifdef", "ifndef"):
-                if not rest:
-                    raise PreprocessorError(f"`{name} without a macro name "
-                                            f"(line {lineno})")
-                defined = rest.split()[0] in state.macros
-                taking = defined if name == "ifdef" else not defined
-                conditions.append([taking, False])
-                continue
-            if name == "else":
-                if not conditions or conditions[-1][1]:
-                    raise PreprocessorError(f"unmatched `else (line {lineno})")
-                conditions[-1][0] = not conditions[-1][0]
-                conditions[-1][1] = True
-                continue
-            if name == "endif":
-                if not conditions:
-                    raise PreprocessorError(f"unmatched `endif (line {lineno})")
-                conditions.pop()
-                continue
-            if name == "include":
-                if active():
-                    out_lines.append(_handle_include(rest, state, origin,
-                                                     stack, lineno))
-                continue
-            # Unknown directive at line start: treat as macro use, fall
-            # through to expansion.
-        if active():
-            out_lines.append(_expand_macros(line, state, lineno))
+        runs, in_comment = _split_comments(line, in_comment)
+        code = " ".join(text for is_code, text in runs if is_code).strip()
+        # Comments pass through whatever the line holds, so the lexer sees
+        # every /* */ span whole; directives and macros in them do nothing.
+        out = "".join(text for is_code, text in runs if not is_code)
+        match = _DIRECTIVE.match(code)
+        name = match.group(1) if match else ""
+        rest = code[len(name) + 1:].strip()
+        if name == "define":
+            if active():
+                _handle_define(rest, state, lineno)
+        elif name == "undef":
+            if active():
+                state.macros.pop(rest.split()[0], None)
+        elif name in ("ifdef", "ifndef"):
+            if not rest:
+                raise PreprocessorError(f"`{name} without a macro name "
+                                        f"(line {lineno})")
+            defined = rest.split()[0] in state.macros
+            taking = defined if name == "ifdef" else not defined
+            conditions.append([taking, False])
+        elif name == "else":
+            if not conditions or conditions[-1][1]:
+                raise PreprocessorError(f"unmatched `else (line {lineno})")
+            conditions[-1][0] = not conditions[-1][0]
+            conditions[-1][1] = True
+        elif name == "endif":
+            if not conditions:
+                raise PreprocessorError(f"unmatched `endif (line {lineno})")
+            conditions.pop()
+        elif name == "include":
+            if active():
+                out = _handle_include(rest, state, origin, stack, lineno) + "\n" + out
+        elif active():
+            # Not a directive (an unknown name is a macro use): expand code.
+            out = "".join(_expand_macros(text, state, lineno) if is_code else text
+                          for is_code, text in runs)
+        out_lines.append(out)
     if conditions:
         raise PreprocessorError("unterminated `ifdef block at end of file")
     return "\n".join(out_lines)
+
+
+def _split_comments(line: str, in_comment: bool
+                    ) -> tuple[list[tuple[bool, str]], bool]:
+    """Cut ``line`` into ``(is_code, text)`` runs around its comments.
+
+    ``in_comment`` says a ``/* */`` comment is open at the start of the
+    line; the second result says whether one is open at its end.
+    """
+    runs: list[tuple[bool, str]] = []
+    pos = 0
+    while pos < len(line):
+        if in_comment:
+            end = line.find("*/", pos)
+            stop = len(line) if end < 0 else end + 2
+            runs.append((False, line[pos:stop]))
+            in_comment, pos = end < 0, stop
+            continue
+        match = _COMMENT_START.search(line, pos)
+        start = len(line) if match is None else match.start()
+        if start > pos:
+            runs.append((True, line[pos:start]))
+        if match is None:
+            break
+        if match.group() == "//":
+            runs.append((False, line[start:]))
+            break
+        runs.append((False, "/*"))
+        in_comment, pos = True, start + 2
+    return runs, in_comment
 
 
 def _handle_define(rest: str, state: _State, lineno: int) -> None:

@@ -1,0 +1,84 @@
+"""The front-end CLI verbs report a bad input file in one line, exit 2.
+
+``synth``, ``report``, ``paths``, ``compile`` and ``predict`` print one
+``repro: error: ...`` line naming the file (and the line, where the
+front end knows it) instead of a traceback, for a missing or unreadable
+file and for Verilog that fails to preprocess, parse or elaborate.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+BAD_SOURCES = {
+    "syntax": ("module m;\n@@@\nendmodule\n", "at line 2"),
+    "preprocessor": ("`ifdef A\nmodule m; endmodule\n", "unterminated `ifdef"),
+    "elaboration": ("module u(output [7:0] y);\n  assign y = ghost + 1;\n"
+                    "endmodule\n", "undefined"),
+}
+KINDS = ["missing", "unreadable", *BAD_SOURCES]
+VERBS = ["synth", "report", "paths", "compile", "predict"]
+
+
+def bad_input(tmp_path, kind):
+    """``(path, text the error line must contain)`` for one failure kind."""
+    path = tmp_path / f"{kind}.v"
+    if kind == "missing":
+        return path, "No such file or directory"
+    if kind == "unreadable":
+        path.mkdir()
+        return path, "Is a directory"
+    text, expected = BAD_SOURCES[kind]
+    path.write_text(text)
+    return path, expected
+
+
+def argv(verb, design, tmp_path):
+    if verb == "predict":  # designs are read before the model is loaded
+        return [verb, str(tmp_path / "model.npz"), str(design)]
+    return [verb, str(design)]
+
+
+def assert_one_error_line(stderr, path, expected):
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    assert lines[0].startswith("repro: error: ") and str(path) in lines[0]
+    assert expected in lines[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("verb", VERBS)
+def test_bad_input(verb, kind, tmp_path, capsys):
+    path, expected = bad_input(tmp_path, kind)
+    assert main(argv(verb, path, tmp_path)) == 2
+    assert_one_error_line(capsys.readouterr().err, path, expected)
+
+
+def test_predict_missing_model(tmp_path, capsys):
+    design = tmp_path / "mac.v"
+    design.write_text("module mac(input clk, input [7:0] a, output [7:0] y);\n"
+                      "  reg [7:0] r;\n  always @(posedge clk) r <= r + a;\n"
+                      "  assign y = r;\nendmodule\n")
+    model = tmp_path / "model.npz"
+    assert main(["predict", str(model), str(design)]) == 2
+    assert_one_error_line(capsys.readouterr().err, model,
+                          "No such file or directory")
+
+
+@pytest.mark.parametrize("kind, verb", list(zip(KINDS, VERBS)))
+def test_subprocess_exit_status(kind, verb, tmp_path):
+    path, expected = bad_input(tmp_path, kind)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv(verb, path, tmp_path)],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert_one_error_line(proc.stderr, path, expected)

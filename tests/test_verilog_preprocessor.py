@@ -3,7 +3,14 @@
 import pytest
 
 from repro.graphir import token_counts
-from repro.verilog import PreprocessorError, elaborate_source, preprocess
+from repro.verilog import (
+    PreprocessorError,
+    VerilogSyntaxError,
+    elaborate_source,
+    parse_source,
+    preprocess,
+    tokenize,
+)
 
 
 class TestDefine:
@@ -140,3 +147,52 @@ class TestEndToEnd:
         with_mul = token_counts(elaborate_source(src, defines={"USE_MUL": "1"}))
         assert "mul16" not in plain and plain["add8"] == 1
         assert with_mul["mul16"] == 1
+
+
+class TestComments:
+    def test_macro_in_line_comment_left_alone(self):
+        src = "module m; // see `FOO\nendmodule"
+        assert preprocess(src) == src
+
+    def test_directive_in_block_comment_left_alone(self):
+        assert preprocess("/* `ifdef X */") == "/* `ifdef X */"
+
+    def test_directives_in_multiline_comment_left_alone(self):
+        src = "/*\n`ifdef X\n  `GHOST\n`endif */\nmodule m; endmodule"
+        assert preprocess(src) == src
+
+    def test_code_around_comments_still_expands(self):
+        out = preprocess("`define W 8\n/* `W */ wire [`W-1:0] x; // `W")
+        assert out.splitlines()[1] == "/* `W */ wire [8-1:0] x; // `W"
+
+    def test_comment_is_not_part_of_a_define(self):
+        out = preprocess("`define W 16 // the width\nwire [`W-1:0] x;")
+        assert "wire [16-1:0] x;" in out
+
+    def test_comment_opened_on_a_directive_line(self):
+        src = "`define W 4 /* opens here\n`ifdef NOPE */ wire [`W:0] x;"
+        assert [t.text for t in tokenize(preprocess(src))][:-1] == [
+            "wire", "[", "4", ":", "0", "]", "x", ";"]
+
+    def test_comment_in_untaken_branch(self):
+        src = "`ifdef NOPE\nskipped /* `GHOST\n`endif */ still skipped\n`endif\nkept"
+        out = preprocess(src)
+        assert [t.text for t in tokenize(out)][:-1] == ["kept"]
+
+    def test_commented_design_elaborates(self):
+        src = """
+        `define W 8
+        // a `W-bit incrementer; see `DOC
+        module m(input [`W-1:0] a, output [`W-1:0] y); /* `ifdef OLD
+          `GHOST `endif */
+          assign y = a + 1;  // `W bits
+        endmodule
+        """
+        assert token_counts(elaborate_source(src))["add8"] == 1
+
+
+class TestLineNumbers:
+    def test_directive_lines_keep_their_place(self):
+        src = "`define W 8\n`ifdef NOPE\nx\n`endif\nmodule m;\n@@\nendmodule"
+        with pytest.raises(VerilogSyntaxError, match="line 6"):
+            parse_source(preprocess(src))
