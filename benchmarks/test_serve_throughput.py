@@ -13,9 +13,8 @@ where concurrent clients probe the same designs):
   calls, where cross-request path dedup collapses duplicate designs in
   a flush onto one pooled forward pass.
 
-Both run the same compiled fp64 executor, caches, and worker pool, so
-the measured gap is the serving discipline itself, not a weaker
-baseline.
+Both run the same model, caches, and worker pool, so the measured gap
+is the serving discipline itself, not a weaker baseline.
 
 Asserted: >= 2x requests/sec for micro-batched over serialized under
 16 concurrent closed-loop clients, every response a 200, and every
@@ -48,8 +47,7 @@ CLIENTS = 16              # concurrent closed-loop clients
 PASSES = 3                # per mode; best pass is the committed number
 SPEEDUP_FLOOR = 2.0
 
-SERVE_KW = dict(max_batch=16, max_wait_ms=8.0, workers=4,
-                executor=True, threads=4)
+SERVE_KW = dict(max_batch=16, max_wait_ms=8.0, workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +164,7 @@ def test_serve_throughput(serve_sns, benchmark):
             "passes_per_mode": PASSES,
             "config": {k: v for k, v in SERVE_KW.items()},
             "model": {"embedding_size": 128, "dim_feedforward": 256,
-                      "max_paths": 600, "precision": "fp64"},
+                      "max_paths": 600},
         },
         "serialized": {
             "requests_per_second": best_ser["requests_per_second"],

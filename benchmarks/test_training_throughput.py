@@ -80,8 +80,7 @@ def _time_baseline(records):
 
 
 def _time_engine(records):
-    engine = TrainingEngine(bucketed=True, fused=True,
-                            encoding_cache=EncodingCache())
+    engine = TrainingEngine(bucketed=True, encoding_cache=EncodingCache())
     model = Circuitformer(BENCH_CF, seed=0)
     start = time.perf_counter()
     history = engine.train_circuitformer(model, records, CONFIG)

@@ -72,6 +72,13 @@ def _read_source(path: str) -> str:
     return _open_input(path, lambda p: Path(p).read_text())
 
 
+def _check_output(path: str) -> None:
+    """Reject an output path whose directory does not exist, before any work."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise CLIError(f"cannot write {path}: no directory {parent}")
+
+
 @contextmanager
 def _front_end_errors(path: str):
     """Report malformed Verilog in ``path`` as a CLIError naming the file."""
@@ -112,14 +119,11 @@ def _cmd_train(args) -> int:
     from .datagen import train_test_split_by_family
     from .experiments import FAST, FULL, build_dataset, fit_sns
 
+    _check_output(args.output)
     settings = FULL if args.preset == "full" else FAST
     if args.buckets:
         settings = replace(settings,
                            training=replace(settings.training, bucketed=True))
-    if args.executor:
-        settings = replace(settings,
-                           training=replace(settings.training, executor=True,
-                                            precision=args.precision))
     print(f"building the design dataset ({settings.name} preset)...")
     records = build_dataset(settings)
     train, test = train_test_split_by_family(records, args.train_fraction,
@@ -142,6 +146,8 @@ def _cmd_datagen(args) -> int:
     from .designs import standard_designs
     from .synth import Synthesizer
 
+    if args.output:
+        _check_output(args.output)
     workers = None if args.workers == 0 else args.workers
     synth = Synthesizer(effort=args.effort)
     records, profile = build_design_dataset_profiled(
@@ -180,9 +186,7 @@ def _cmd_predict(args) -> int:
     graphs = [_read_design(path) for path in args.designs]
     sns = _open_input(args.model, load_sns)
     cache = PredictionCache(disk_dir=args.cache_dir)
-    engine = BatchPredictor(sns, cache=cache, caching=not args.no_cache,
-                            executor=args.executor, precision=args.precision,
-                            threads=args.threads)
+    engine = BatchPredictor(sns, cache=cache, caching=not args.no_cache)
     preds = engine.predict_batch(graphs)
     for i, pred in enumerate(preds):
         if i:
@@ -201,7 +205,7 @@ def _cmd_dse(args) -> int:
     from .boom import BoomDSE, boom_grid, extended_grid
     from .core.persistence import load_sns
 
-    sns = load_sns(args.model)
+    sns = _open_input(args.model, load_sns)
     grid = extended_grid() if args.space == "extended" else boom_grid()
     predict_budget = max(1, int(round(args.budget * args.fidelity)))
     dse = BoomDSE(predictor=sns)
@@ -253,12 +257,10 @@ def _cmd_serve(args) -> int:
         host=args.host, port=args.port, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
         workers=args.workers, rate_limit=args.rate_limit,
-        request_timeout_s=args.request_timeout,
-        precision=args.precision, executor=args.executor,
-        threads=args.threads, cache_dir=args.cache_dir,
+        request_timeout_s=args.request_timeout, cache_dir=args.cache_dir,
         serialized=args.serialized, allow_train=not args.no_train)
     server = PredictionServer(config)
-    server.load_model(args.model, name="default")
+    _open_input(args.model, lambda path: server.load_model(path, name="default"))
 
     async def main() -> None:
         await server.start()
@@ -342,9 +344,13 @@ def _cmd_export(args) -> int:
             print(f"{entry.name:20s} {entry.category}")
         return 0
     if not args.name or not args.output:
-        print("export requires NAME and OUT.v (or --list)", file=sys.stderr)
-        return 2
-    entry = get_design(args.name)
+        raise CLIError("export requires NAME and OUT.v (or --list)")
+    try:
+        entry = get_design(args.name)
+    except KeyError:
+        raise CLIError(f"unknown design {args.name!r} "
+                       "(`repro export --list` shows the names)") from None
+    _check_output(args.output)
     text = emit_verilog(entry.module.elaborate())
     Path(args.output).write_text(text + "\n")
     print(f"wrote {args.output} ({text.count(chr(10)) + 1} lines)")
@@ -402,14 +408,21 @@ def _parse_size(text: str) -> int:
         raise SystemExit(f"bad size: {text!r} (use N, NK, NM, or NG)") from exc
 
 
+def _open_store(path: str):
+    """The store backend at ``path``; a missing path is an error, not created."""
+    from .store import open_backend
+
+    if not Path(path).exists():
+        raise CLIError(f"no artifact store at {path}")
+    return open_backend(path)
+
+
 def _cmd_cache_stats(args) -> int:
     import json as _json
     import time as _time
     from collections import defaultdict
 
-    from .store import open_backend
-
-    backend = open_backend(args.path)
+    backend = _open_store(args.path)
     now = _time.time()
     per_kind = defaultdict(lambda: {"entries": 0, "bytes": 0,
                                     "oldest_s": 0.0, "newest_s": None})
@@ -441,9 +454,9 @@ def _cmd_cache_stats(args) -> int:
 
 
 def _cmd_cache_gc(args) -> int:
-    from .store import gc_backend, open_backend
+    from .store import gc_backend
 
-    backend = open_backend(args.path)
+    backend = _open_store(args.path)
     report = gc_backend(
         backend,
         max_age_s=(args.max_age_days * 86400.0
@@ -479,13 +492,6 @@ def main(argv: list[str] | None = None) -> int:
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--buckets", action="store_true",
                          help="train with length-bucketed minibatches")
-    p_train.add_argument("--executor", action="store_true",
-                         help="compile one train step per batch shape and "
-                              "replay the static kernel schedule")
-    p_train.add_argument("--precision", default="fp64",
-                         choices=("fp64", "fp32"),
-                         help="executor arithmetic (fp64 is bit-identical "
-                              "to the dynamic path)")
     p_train.add_argument("--profile", action="store_true",
                          help="print per-phase training timing/allocation profiles")
     p_train.set_defaults(fn=_cmd_train)
@@ -514,16 +520,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="persist the prediction cache to this directory")
     p_pred.add_argument("--no-cache", action="store_true",
                         help="disable the prediction cache")
-    p_pred.add_argument("--executor", action="store_true",
-                        help="run inference through compiled per-bucket "
-                             "kernel plans (plan-once/run-many)")
-    p_pred.add_argument("--precision", default="fp64",
-                        choices=("fp64", "fp32", "int8"),
-                        help="executor arithmetic; int8 quantizes the "
-                             "embedding tables per row (weight-only)")
-    p_pred.add_argument("--threads", type=int, default=1,
-                        help="executor bucket-parallel threads "
-                             "(deterministic merge; 1 = serial)")
     p_pred.set_defaults(fn=_cmd_predict)
 
     p_paths = sub.add_parser("paths", help="sample complete circuit paths")
@@ -591,13 +587,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="per-request deadline in seconds (504 beyond)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="persist prediction/front-end caches here")
-    p_serve.add_argument("--precision", default="fp64",
-                         choices=("fp64", "fp32", "int8"),
-                         help="default inference arithmetic")
-    p_serve.add_argument("--executor", action="store_true",
-                         help="serve through compiled per-bucket kernel plans")
-    p_serve.add_argument("--threads", type=int, default=1,
-                         help="executor bucket-parallel threads")
     p_serve.add_argument("--serialized", action="store_true",
                          help="one-request-at-a-time baseline mode "
                               "(benchmarking)")

@@ -8,8 +8,6 @@ head predicting per-path [timing, area, power] in normalized log space.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +15,7 @@ import numpy as np
 from .. import nn
 from ..graphir import Vocabulary
 
-__all__ = ["CircuitformerConfig", "Circuitformer", "CircuitformerExecutor",
-           "TargetScaler", "encode_batch",
+__all__ = ["CircuitformerConfig", "Circuitformer", "TargetScaler", "encode_batch",
            "bucket_for_length", "BUCKET_BOUNDARIES"]
 
 TARGETS = ("timing", "area", "power")
@@ -172,22 +169,8 @@ class Circuitformer(nn.Module):
             out[lo:lo + n] = self.head(nn.Tensor(chunk)).numpy()[:n]
         return out
 
-    def compile_executor(self, precision: str = "fp64", threads: int = 1,
-                         tolerance: float | None = None) -> "CircuitformerExecutor":
-        """Build a plan-once/run-many inference executor over this model.
-
-        The executor traces one forward per padded bucket shape into a
-        static kernel schedule (:func:`repro.nn.compile_forward`) and
-        replays it on later batches with zero graph construction.  See
-        :class:`CircuitformerExecutor` for the precision and threading
-        semantics.
-        """
-        return CircuitformerExecutor(self, precision=precision,
-                                     threads=threads, tolerance=tolerance)
-
     def predict_unique(self, unique_seqs: list[tuple[str, ...]],
-                       batch_size: int = 128, encoding_cache=None,
-                       executor: "CircuitformerExecutor | None" = None) -> np.ndarray:
+                       batch_size: int = 128, encoding_cache=None) -> np.ndarray:
         """Physical [timing_ps, area_um2, power_mw] per *unique* sequence.
 
         This is the canonical inference kernel shared by
@@ -207,16 +190,7 @@ class Circuitformer(nn.Module):
         :class:`repro.runtime.trainer.EncodingCache` so repeated bucket
         chunks (across calls, or shared with the training engine) skip
         re-encoding; the encoded arrays are identical either way.
-
-        ``executor`` optionally routes the whole call through a compiled
-        :class:`CircuitformerExecutor` (from :meth:`compile_executor`);
-        at fp64 the compiled path is bit-identical to the dynamic one.
         """
-        if executor is not None:
-            if executor.model is not self:
-                raise ValueError("executor was compiled for a different model")
-            return executor.predict_unique(unique_seqs, batch_size=batch_size,
-                                           encoding_cache=encoding_cache)
         if not unique_seqs:
             return np.zeros((0, 3))
         max_len = self.config.max_input_size - 1
@@ -248,8 +222,7 @@ class Circuitformer(nn.Module):
     # ------------------------------------------------------------------ #
     def predict_paths(self, token_seqs: list[tuple[str, ...]],
                       batch_size: int = 128, bucketed: bool = True,
-                      encoding_cache=None,
-                      executor: "CircuitformerExecutor | None" = None) -> np.ndarray:
+                      encoding_cache=None) -> np.ndarray:
         """Inference: physical [timing_ps, area_um2, power_mw] per path.
 
         Sampled designs repeat token sequences heavily (a systolic array
@@ -270,10 +243,9 @@ class Circuitformer(nn.Module):
             index[i] = unique.setdefault(tuple(seq), len(unique))
         unique_seqs = list(unique)
 
-        if bucketed or executor is not None:
+        if bucketed:
             return self.predict_unique(unique_seqs, batch_size=batch_size,
-                                       encoding_cache=encoding_cache,
-                                       executor=executor)[index]
+                                       encoding_cache=encoding_cache)[index]
 
         self.eval()
         outs = []
@@ -287,165 +259,3 @@ class Circuitformer(nn.Module):
         scaled = np.concatenate(outs, axis=0)
         physical = np.maximum(self.scaler.inverse(scaled), 0.0)
         return physical[index]
-
-
-class CircuitformerExecutor:
-    """Plan-once/run-many compiled inference front end for a Circuitformer.
-
-    Wraps :func:`repro.nn.compile_forward`: the first batch of each padded
-    bucket shape ``(rows, width)`` traces one dynamic encoder forward and
-    compiles it into a static schedule of preallocated numpy kernels;
-    every later batch of that shape replays the schedule with zero
-    Tensor-graph construction.  The regression head compiles once at its
-    fixed ``(_HEAD_ROWS, d)`` shape and is shared by all buckets.
-
-    ``precision`` selects the replay arithmetic:
-
-    - ``"fp64"`` — kernels alias the parameter storage directly; replays
-      are bit-identical to the dynamic path (gated at compile time).
-    - ``"fp32"`` — activations and a version-tracked weight cast run in
-      float32; compile gates the relative error against the float64
-      dynamic reference.
-    - ``"int8"`` — embedding tables are quantized per row to int8
-      (weight-only); all other arithmetic runs fp32.
-
-    ``threads > 1`` runs independent bucket plans on a thread pool.
-    Every sequence's output depends only on its own tokens and its
-    bucket, and each worker writes a disjoint row range of the output
-    array, so the parallel merge is deterministic — bitwise equal to the
-    serial bucket order.
-
-    Plans survive in-place parameter updates (fp32/int8 weight casts
-    refresh by ``Parameter.version``); fp64 plans transparently recompile
-    if a parameter's storage is *rebound* (e.g. ``load_state_dict``).
-    """
-
-    def __init__(self, model: Circuitformer, precision: str = "fp64",
-                 threads: int = 1, tolerance: float | None = None):
-        if precision not in nn.PRECISIONS:
-            raise ValueError(f"precision must be one of {nn.PRECISIONS}: "
-                             f"got {precision!r}")
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1: got {threads}")
-        self.model = model
-        self.precision = precision
-        self.threads = int(threads)
-        self.tolerance = tolerance
-        self._plans: dict[tuple[int, int], nn.ForwardPlan] = {}
-        self._head_plan: nn.ForwardPlan | None = None
-        self._head_buf: np.ndarray | None = None
-        self._cast_cache: dict = {}
-        self._lock = threading.Lock()        # encoder plan table
-        self._head_lock = threading.Lock()   # head plan + shared row buffer
-        self._enc_lock = threading.Lock()    # EncodingCache is not thread-safe
-
-    # -- plan construction --------------------------------------------- #
-    def _encoder_fn(self, ids: np.ndarray, pad_mask: np.ndarray) -> nn.Tensor:
-        """The traced per-bucket forward: encoder pass up to the CLS row."""
-        model = self.model
-        positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
-        x = model.token_embedding(ids) + model.position_embedding(positions)
-        return model.encoder(x, key_padding_mask=pad_mask)[:, 0, :]
-
-    def _encoder_plan(self, shape: tuple[int, int]) -> nn.ForwardPlan:
-        with self._lock:
-            plan = self._plans.get(shape)
-            if plan is not None and not plan.is_stale():
-                return plan
-            vocab = self.model.vocab
-            ids = np.full(shape, vocab.PAD, dtype=np.int64)
-            ids[:, 0] = vocab.CLS
-            plan = nn.compile_forward(
-                self._encoder_fn, {"ids": ids, "pad_mask": ids == vocab.PAD},
-                precision=self.precision, tolerance=self.tolerance,
-                cast_cache=self._cast_cache)
-            self._plans[shape] = plan
-            return plan
-
-    def _head_fixed(self, cls_emb: np.ndarray) -> np.ndarray:
-        """Compiled analogue of :meth:`Circuitformer._head_rows_fixed`."""
-        rows = Circuitformer._HEAD_ROWS
-        out = np.empty((len(cls_emb), 3))
-        with self._head_lock:
-            if self._head_plan is None or self._head_plan.is_stale():
-                buf = np.zeros((rows, self.model.config.embedding_size))
-                self._head_plan = nn.compile_forward(
-                    lambda cls: self.model.head(nn.Tensor(cls)), {"cls": buf},
-                    precision=self.precision, tolerance=self.tolerance,
-                    cast_cache=self._cast_cache)
-                self._head_buf = buf
-            plan, buf = self._head_plan, self._head_buf
-            for lo in range(0, len(cls_emb), rows):
-                chunk = cls_emb[lo:lo + rows]
-                n = len(chunk)
-                np.copyto(buf[:n], chunk)
-                if n < rows:
-                    buf[n:] = chunk[-1]  # same padding as _head_rows_fixed
-                out[lo:lo + n] = plan.replay(cls=buf)[:n]
-        return out
-
-    # -- inference ----------------------------------------------------- #
-    @nn.no_grad
-    def _run_bucket(self, bucket: int, idxs: list[int],
-                    unique_seqs: list[tuple[str, ...]], batch_size: int,
-                    encoding_cache, scaled: np.ndarray) -> None:
-        # no_grad here, not just in predict_unique: grad mode is
-        # thread-local, so pool workers don't inherit the caller's.
-        model = self.model
-        for lo in range(0, len(idxs), batch_size):
-            chunk_idx = idxs[lo:lo + batch_size]
-            chunk = [unique_seqs[i] for i in chunk_idx]
-            single = len(chunk) == 1
-            if single:
-                chunk = chunk * 2
-            if encoding_cache is not None:
-                with self._enc_lock:
-                    ids, mask = encoding_cache.encode(chunk, model.vocab, bucket)
-            else:
-                ids, mask = encode_batch(chunk, model.vocab, bucket)
-            plan = self._encoder_plan(ids.shape)
-            cls_emb = plan.replay(ids=ids, pad_mask=mask)
-            if single:
-                cls_emb = cls_emb[:1]
-            # _head_fixed copies cls_emb out of the plan-owned buffer
-            # before this worker's next replay of the same plan.
-            scaled[chunk_idx] = self._head_fixed(cls_emb)
-
-    def predict_unique(self, unique_seqs: list[tuple[str, ...]],
-                       batch_size: int = 128, encoding_cache=None) -> np.ndarray:
-        """Compiled drop-in for :meth:`Circuitformer.predict_unique`."""
-        if not unique_seqs:
-            return np.zeros((0, 3))
-        model = self.model
-        max_len = model.config.max_input_size - 1
-        buckets: dict[int, list[int]] = {}
-        for i, seq in enumerate(unique_seqs):
-            buckets.setdefault(bucket_for_length(len(seq), max_len), []).append(i)
-
-        model.eval()
-        scaled = np.empty((len(unique_seqs), 3))
-        work = [(b, buckets[b]) for b in sorted(buckets)]
-        with nn.no_grad():
-            if self.threads > 1 and len(work) > 1:
-                with ThreadPoolExecutor(
-                        max_workers=min(self.threads, len(work))) as pool:
-                    futures = [pool.submit(self._run_bucket, bucket, idxs,
-                                           unique_seqs, batch_size,
-                                           encoding_cache, scaled)
-                               for bucket, idxs in work]
-                    for future in futures:
-                        future.result()
-            else:
-                for bucket, idxs in work:
-                    self._run_bucket(bucket, idxs, unique_seqs, batch_size,
-                                     encoding_cache, scaled)
-        return np.maximum(model.scaler.inverse(scaled), 0.0)
-
-    def stats(self) -> dict[str, int]:
-        with self._lock, self._head_lock:
-            plans = list(self._plans.values())
-            if self._head_plan is not None:
-                plans.append(self._head_plan)
-        return {"plans": len(plans),
-                "replays": int(sum(p.replays for p in plans)),
-                "kernel_steps": int(sum(p.num_steps for p in plans))}

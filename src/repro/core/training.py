@@ -54,14 +54,7 @@ class TrainingConfig:
     ``bucketed`` selects length-bucketed minibatching (throughput mode;
     statistically equivalent curves under different padded widths);
     ``False`` keeps the seed implementation's pad-to-longest batches and
-    reproduces its loss curves bit-for-bit.  ``fused`` toggles the
-    in-place fused optimizer kernels (bit-identical to the reference
-    kernels either way).  ``executor`` compiles one training step per
-    padded batch shape into a static kernel schedule
-    (:func:`repro.nn.compile_train_step`) and replays it for every later
-    batch of that shape; ``precision`` selects the executor arithmetic
-    (``"fp64"`` is bit-identical to the dynamic fused path, ``"fp32"``
-    trades a tolerance-gated rounding difference for speed).
+    reproduces its loss curves bit-for-bit.
     """
 
     circuitformer_epochs: int = 24
@@ -74,9 +67,6 @@ class TrainingConfig:
     validation_fraction: float = 0.15
     seed: int = 0
     bucketed: bool = False
-    fused: bool = True
-    executor: bool = False
-    precision: str = "fp64"
 
 
 @dataclass

@@ -11,19 +11,8 @@ self-contained substitute. It provides:
 - Losses and serialization helpers.
 """
 
-from .tensor import Tensor, tensor, zeros, ones, no_grad, is_grad_enabled, assert_no_grad
+from .tensor import Tensor, tensor, zeros, ones, no_grad, is_grad_enabled
 from .pool import ScratchPool, scratch_pool
-from .executor import (
-    ExecutorError,
-    PrecisionToleranceError,
-    ForwardPlan,
-    TrainStepPlan,
-    compile_forward,
-    compile_train_step,
-    max_relative_error,
-    DEFAULT_TOLERANCES,
-    PRECISIONS,
-)
 from .module import Module, Parameter, ParamData
 from .layers import Linear, Embedding, LayerNorm, Dropout, ReLU, Tanh, GELU, Sequential
 from .attention import MultiHeadSelfAttention, TransformerEncoderLayer, TransformerEncoder
@@ -43,11 +32,7 @@ from .serialize import save_module, load_module
 
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
-    "assert_no_grad",
     "ScratchPool", "scratch_pool",
-    "ExecutorError", "PrecisionToleranceError", "ForwardPlan", "TrainStepPlan",
-    "compile_forward", "compile_train_step", "max_relative_error",
-    "DEFAULT_TOLERANCES", "PRECISIONS",
     "Module", "Parameter", "ParamData",
     "Linear", "Embedding", "LayerNorm", "Dropout", "ReLU", "Tanh", "GELU", "Sequential",
     "MultiHeadSelfAttention", "TransformerEncoderLayer", "TransformerEncoder",

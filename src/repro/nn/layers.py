@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module, Parameter
-from .tensor import Tensor, _trace_note_rng_mask
+from .tensor import Tensor
 
 __all__ = [
     "Linear",
@@ -99,9 +99,6 @@ class Dropout(Module):
             return x
         keep = 1.0 - self.p
         mask = (self._rng.random(x.shape) < keep) / keep
-        # No-op unless the executor is tracing: marks the mask constant
-        # as rng-driven so plan replays redraw it from the same stream.
-        _trace_note_rng_mask(mask, self._rng, keep)
         return x * Tensor(mask)
 
 

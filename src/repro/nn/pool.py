@@ -1,17 +1,16 @@
-"""A (shape, dtype)-keyed scratch-buffer pool for autograd temporaries.
+"""A shape-keyed scratch-buffer pool for float64 autograd temporaries.
 
 Training allocates the same large temporaries every step — the
 ``(batch, heads, seq, seq)`` attention products in the backward pass are
 the worst offenders.  Recycling those buffers across steps keeps peak RSS
 flat and spares the allocator/GC the churn of multi-megabyte arrays.
 
-The pool is deliberately dumb: buffers are keyed by exact ``(shape,
-dtype)`` — float64 autograd temporaries and the executor's float32
-activation slots pool side by side — ``take`` pops a free buffer or
-allocates a fresh one, ``give`` returns a buffer once the caller is done
-with it.  Stored bytes are capped; over-cap buffers are simply dropped
-for the GC.  Callers must only ``give`` back arrays they own outright —
-never views into tensors that outlive the call.
+The pool is deliberately dumb: buffers are keyed by exact shape,
+``take`` pops a free buffer or allocates a fresh one, ``give`` returns a
+buffer once the caller is done with it.  Stored bytes are capped;
+over-cap buffers are simply dropped for the GC.  Callers must only
+``give`` back float64 arrays they own outright — never views into
+tensors that outlive the call.
 """
 
 from __future__ import annotations
@@ -22,27 +21,26 @@ __all__ = ["ScratchPool", "scratch_pool"]
 
 
 class ScratchPool:
-    """Reusable scratch arrays, keyed by (shape, dtype)."""
+    """Reusable float64 scratch arrays, keyed by shape."""
 
     def __init__(self, max_bytes: int = 256 * 1024 * 1024):
         self.max_bytes = int(max_bytes)
-        self._free: dict[tuple[tuple[int, ...], str], list[np.ndarray]] = {}
+        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
         self._stored_bytes = 0
         self.hits = 0
         self.misses = 0
 
-    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """Return an uninitialized array of ``shape`` and ``dtype``."""
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Return an uninitialized float64 array of ``shape``."""
         shape = tuple(int(s) for s in shape)
-        dtype = np.dtype(dtype)
-        bucket = self._free.get((shape, dtype.str))
+        bucket = self._free.get(shape)
         if bucket:
             self.hits += 1
             arr = bucket.pop()
             self._stored_bytes -= arr.nbytes
             return arr
         self.misses += 1
-        return np.empty(shape, dtype=dtype)
+        return np.empty(shape)
 
     def give(self, arr: np.ndarray) -> None:
         """Return ``arr`` to the pool (dropped if the byte cap is hit)."""
@@ -50,7 +48,7 @@ class ScratchPool:
             return
         if self._stored_bytes + arr.nbytes > self.max_bytes:
             return
-        self._free.setdefault((arr.shape, arr.dtype.str), []).append(arr)
+        self._free.setdefault(arr.shape, []).append(arr)
         self._stored_bytes += arr.nbytes
 
     def clear(self) -> None:

@@ -21,14 +21,13 @@ import numpy as np
 
 from .pool import scratch_pool
 
-__all__ = ["Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
-           "assert_no_grad"]
+__all__ = ["Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled"]
 
 
 class _GradMode(threading.local):
     # Grad mode is per-thread (like torch's): concurrent serve workers
     # each toggle their own flag, so one worker leaving ``no_grad``
-    # cannot re-enable graph construction under another mid-replay.
+    # cannot re-enable graph construction under another mid-forward.
     # Threads spawned *inside* a ``no_grad`` region start back at the
     # enabled default and must enter ``no_grad`` themselves.
     enabled = True
@@ -88,47 +87,6 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether this thread records new operations for autodiff."""
     return _grad_mode.enabled
-
-
-def assert_no_grad(context: str = "") -> None:
-    """Raise if autodiff recording is enabled.
-
-    Guard for code that must not build a graph — e.g. compiled-plan
-    replay, where a stray enabled-grad op would silently re-introduce
-    the per-op object churn the plan exists to eliminate.
-    """
-    if _grad_mode.enabled:
-        where = f" in {context}" if context else ""
-        raise RuntimeError(
-            f"gradients are enabled{where}; wrap the call in nn.no_grad()")
-
-
-# ---------------------------------------------------------------------- #
-# Trace hooks (repro.nn.executor)
-#
-# The executor compiles a static kernel schedule out of one dynamic
-# forward (+ backward) pass.  Rather than re-implementing every op, it
-# installs a hook that observes each ``_make_child`` call — the one
-# choke point every primitive already routes through — together with the
-# op name, parent tensors, and the op's non-tensor attributes (axes,
-# keys, masks, scales).  A second hook lets rng-driven constants
-# (dropout masks) identify themselves so replays can redraw them.
-# Both hooks are None except while the executor is actively tracing.
-# ---------------------------------------------------------------------- #
-_TRACE_HOOK = None
-_RNG_NOTE_HOOK = None
-
-
-def _set_trace_hooks(trace_hook, rng_note_hook) -> None:
-    global _TRACE_HOOK, _RNG_NOTE_HOOK
-    _TRACE_HOOK = trace_hook
-    _RNG_NOTE_HOOK = rng_note_hook
-
-
-def _trace_note_rng_mask(mask: np.ndarray, rng, keep: float) -> None:
-    """Mark ``mask`` as freshly drawn from ``rng`` (see Dropout.forward)."""
-    if _RNG_NOTE_HOOK is not None:
-        _RNG_NOTE_HOOK(mask, rng, keep)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -221,12 +179,9 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Graph plumbing
     # ------------------------------------------------------------------ #
-    def _make_child(self, data, parents, op: str, attrs: dict | None = None) -> "Tensor":
+    def _make_child(self, data, parents, op: str) -> "Tensor":
         requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _parents=tuple(parents), _op=op)
-        if _TRACE_HOOK is not None:
-            _TRACE_HOOK(out, parents, op, attrs)
-        return out
+        return Tensor(data, requires_grad=requires, _parents=tuple(parents), _op=op)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -350,8 +305,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out = self._make_child(self.data ** exponent, (self,), "pow",
-                               attrs={"exponent": exponent})
+        out = self._make_child(self.data ** exponent, (self,), "pow")
         if out.requires_grad:
             def _backward(grad):
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
@@ -403,8 +357,7 @@ class Tensor:
         scale = float(scale)
         data = a @ b
         np.multiply(data, scale, out=data)
-        out = self._make_child(data, (self, other), "matmul_scaled",
-                               attrs={"scale": scale})
+        out = self._make_child(data, (self, other), "matmul_scaled")
         if out.requires_grad:
             def _backward(grad):
                 g = scratch_pool.take(grad.shape)
@@ -430,8 +383,7 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make_child(self.data.reshape(shape), (self,), "reshape",
-                               attrs={"shape": tuple(shape)})
+        out = self._make_child(self.data.reshape(shape), (self,), "reshape")
         if out.requires_grad:
             def _backward(grad):
                 self._accumulate(grad.reshape(self.shape))
@@ -443,7 +395,7 @@ class Tensor:
         if axes and len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         out = self._make_child(self.data.transpose(axes) if axes else self.data.T,
-                               (self,), "transpose", attrs={"axes": axes})
+                               (self,), "transpose")
         if out.requires_grad:
             def _backward(grad):
                 if axes:
@@ -455,8 +407,7 @@ class Tensor:
         return out
 
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
-        out = self._make_child(np.swapaxes(self.data, ax1, ax2), (self,), "swapaxes",
-                               attrs={"ax1": ax1, "ax2": ax2})
+        out = self._make_child(np.swapaxes(self.data, ax1, ax2), (self,), "swapaxes")
         if out.requires_grad:
             def _backward(grad):
                 self._accumulate(np.swapaxes(grad, ax1, ax2))
@@ -464,8 +415,7 @@ class Tensor:
         return out
 
     def __getitem__(self, key) -> "Tensor":
-        out = self._make_child(self.data[key], (self,), "getitem",
-                               attrs={"key": key})
+        out = self._make_child(self.data[key], (self,), "getitem")
         if out.requires_grad:
             def _backward(grad):
                 full = np.zeros_like(self.data)
@@ -478,8 +428,7 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum",
-                               attrs={"axis": axis, "keepdims": keepdims})
+        out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
         if out.requires_grad:
             def _backward(grad):
                 g = grad
@@ -502,8 +451,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make_child(out_data, (self,), "max",
-                               attrs={"axis": axis, "keepdims": keepdims})
+        out = self._make_child(out_data, (self,), "max")
         if out.requires_grad:
             def _backward(grad):
                 g = grad
@@ -585,7 +533,7 @@ class Tensor:
         probs = self.data - self.data.max(axis=axis, keepdims=True)
         np.exp(probs, out=probs)
         np.divide(probs, probs.sum(axis=axis, keepdims=True), out=probs)
-        out = self._make_child(probs, (self,), "softmax", attrs={"axis": axis})
+        out = self._make_child(probs, (self,), "softmax")
         if out.requires_grad:
             def _backward(grad):
                 buf = scratch_pool.take(probs.shape)
@@ -609,8 +557,7 @@ class Tensor:
         finally:
             scratch_pool.give(e)
         out_data = np.subtract(shifted, logsumexp, out=shifted)
-        out = self._make_child(out_data, (self,), "log_softmax",
-                               attrs={"axis": axis})
+        out = self._make_child(out_data, (self,), "log_softmax")
         if out.requires_grad:
             def _backward(grad):
                 softmax = np.exp(out_data)
@@ -624,8 +571,7 @@ class Tensor:
     def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
         mask = np.asarray(mask, dtype=bool)
         data = np.where(mask, value, self.data)
-        out = self._make_child(data, (self,), "masked_fill",
-                               attrs={"mask": mask, "value": value})
+        out = self._make_child(data, (self,), "masked_fill")
         if out.requires_grad:
             def _backward(grad):
                 self._accumulate(np.where(mask, 0.0, grad))
@@ -635,8 +581,7 @@ class Tensor:
     def clip(self, lo: float, hi: float) -> "Tensor":
         data = np.clip(self.data, lo, hi)
         pass_through = (self.data >= lo) & (self.data <= hi)
-        out = self._make_child(data, (self,), "clip",
-                               attrs={"lo": lo, "hi": hi})
+        out = self._make_child(data, (self,), "clip")
         if out.requires_grad:
             def _backward(grad):
                 self._accumulate(grad * pass_through)

@@ -133,28 +133,11 @@ class BatchPredictor:
         ``predict_unique`` so repeated bucket chunks skip re-encoding —
         share the training engine's cache to reuse epoch encodings at
         serving time.
-    executor:
-        Route inference through a compiled
-        :class:`~repro.core.circuitformer.CircuitformerExecutor`: one
-        static kernel schedule per padded bucket shape, traced on first
-        use and replayed for every later chunk of that shape.  At
-        ``precision="fp64"`` (default) the compiled path is bit-identical
-        to the dynamic one, so cached entries remain valid across modes.
-    precision:
-        Executor arithmetic: ``"fp64"``, ``"fp32"``, or the weight-only
-        quantized ``"int8"`` (see :mod:`repro.nn.executor`).  Reduced
-        precisions change outputs within a gated tolerance, so they are
-        fingerprinted into the cache key.
-    threads:
-        Executor bucket-parallelism (independent padded buckets run on a
-        thread pool; the merged output is bitwise equal to serial).
     """
 
     def __init__(self, sns: SNS, cache: PredictionCache | None = None,
                  batch_size: int = 32, caching: bool = True,
-                 encoding_cache=None, frontend_cache=None,
-                 executor: bool = False, precision: str = "fp64",
-                 threads: int = 1):
+                 encoding_cache=None, frontend_cache=None):
         self.sns = sns
         self.caching = caching
         self.cache = (cache if cache is not None else PredictionCache()) \
@@ -165,9 +148,6 @@ class BatchPredictor:
         # on repeat configurations and sampled paths replay from the
         # (graph content x sampler) tier.
         self.frontend_cache = frontend_cache
-        self.precision = precision
-        self._executor = (sns.circuitformer.compile_executor(
-            precision=precision, threads=threads) if executor else None)
 
     # ------------------------------------------------------------------ #
     def predict_batch(self, designs, activity_maps=None) -> list[SNSPrediction]:
@@ -198,10 +178,6 @@ class BatchPredictor:
         pending: dict[str | int, list[int]] = {}
         if self.caching:
             model_fp = fingerprint_model(self.sns)
-            if self._executor is not None and self.precision != "fp64":
-                # Reduced-precision outputs differ (within the gated
-                # tolerance) from fp64, so they get their own cache rows.
-                model_fp = f"{model_fp}:{self.precision}"
             sampler_fp = fingerprint_sampler(self.sns.sampler)
             for i, (graph, activity) in enumerate(zip(graphs, activities)):
                 keys[i] = cache_key(fingerprint_graph(graph), model_fp,
@@ -234,7 +210,7 @@ class BatchPredictor:
         # ---- one pooled, bucketed inference pass over unique sequences
         physical = (self.sns.circuitformer.predict_unique(
             list(unique), batch_size=self.batch_size,
-            encoding_cache=self.encoding_cache, executor=self._executor)
+            encoding_cache=self.encoding_cache)
             if unique else np.zeros((0, 3)))
 
         # ---- aggregate per pending group, fill every member

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,6 +101,13 @@ def fingerprint_frontend_source(source: str, top: str | None = None,
 
 
 _MODULE_SOURCE_FP: dict[type, str] = {}
+# ``inspect.getsource`` parses the class's module with ``ast``.  On
+# Python 3.11 the AST constructor keeps its recursion depth in state
+# shared by all threads, so a second thread that enters it mid-parse (a
+# GC finalizer can hand over the GIL there) fails with "SystemError: AST
+# constructor recursion depth mismatch".  Misses happen once per class,
+# so they simply take turns.
+_SOURCE_FP_LOCK = threading.Lock()
 
 
 def _class_source_fp(cls: type) -> str:
@@ -110,12 +118,15 @@ def _class_source_fp(cls: type) -> str:
     """
     cls_fp = _MODULE_SOURCE_FP.get(cls)
     if cls_fp is None:
-        try:
-            text = inspect.getsource(cls)
-        except (OSError, TypeError):
-            text = f"{cls.__module__}.{cls.__qualname__}"
-        cls_fp = hashlib.sha256(text.encode()).hexdigest()
-        _MODULE_SOURCE_FP[cls] = cls_fp
+        with _SOURCE_FP_LOCK:
+            cls_fp = _MODULE_SOURCE_FP.get(cls)
+            if cls_fp is None:
+                try:
+                    text = inspect.getsource(cls)
+                except (OSError, TypeError):
+                    text = f"{cls.__module__}.{cls.__qualname__}"
+                cls_fp = hashlib.sha256(text.encode()).hexdigest()
+                _MODULE_SOURCE_FP[cls] = cls_fp
     return cls_fp
 
 

@@ -225,62 +225,21 @@ class TrainingEngine:
         ``False`` is the compatibility mode: padding, batch composition,
         and RNG consumption replicate the reference loops exactly, so
         the engine reproduces the seed loss curves bit-for-bit.
-    fused:
-        Use the in-place fused optimizers with clipping folded into
-        ``step``; ``False`` falls back to the allocate-per-step
-        reference kernels (numerically identical either way).
-    free_graph:
-        Release autograd closures during ``backward`` (memory
-        discipline; numerics unaffected).
     encoding_cache:
         Optional :class:`EncodingCache` shared with inference.
-    executor:
-        Compile one training step per padded batch shape with
-        :func:`repro.nn.compile_train_step` and replay the static kernel
-        schedule on every later batch of that shape (the compile's
-        dynamic trace *is* the first step, so no work is duplicated).
-        At ``precision="fp64"`` the compiled run is bit-identical to the
-        dynamic fused path — gated per compile; ``"fp32"`` trades that
-        for reduced-precision throughput (loss gated against the fp64
-        reference at compile time).  Requires ``fused=True``: the
-        reference optimizers rebind parameter storage every step, which
-        invalidates compiled plans.
-    precision:
-        Executor arithmetic, ``"fp64"`` or ``"fp32"`` (training rejects
-        the inference-only ``"int8"``).  Ignored without ``executor``.
     """
 
-    def __init__(self, bucketed: bool = True, fused: bool = True,
-                 free_graph: bool = True,
-                 encoding_cache: EncodingCache | None = None,
-                 executor: bool = False, precision: str = "fp64"):
+    def __init__(self, bucketed: bool = True,
+                 encoding_cache: EncodingCache | None = None):
         self.bucketed = bool(bucketed)
-        self.fused = bool(fused)
-        self.free_graph = bool(free_graph)
         self.encoding_cache = encoding_cache
-        self.executor = bool(executor)
-        self.precision = precision
-        if self.executor:
-            if not self.fused:
-                raise ValueError(
-                    "executor training requires fused=True: the reference "
-                    "optimizers rebind parameter storage every step, which "
-                    "invalidates compiled plans")
-            if precision not in ("fp64", "fp32"):
-                raise ValueError(
-                    f"training precision must be 'fp64' or 'fp32': "
-                    f"got {precision!r}")
         self.last_profile: TrainerProfile | None = None
         self.profiles: dict[str, TrainerProfile] = {}
 
     @classmethod
     def from_config(cls, config: TrainingConfig,
                     encoding_cache: EncodingCache | None = None) -> "TrainingEngine":
-        return cls(bucketed=getattr(config, "bucketed", False),
-                   fused=getattr(config, "fused", True),
-                   encoding_cache=encoding_cache,
-                   executor=getattr(config, "executor", False),
-                   precision=getattr(config, "precision", "fp64"))
+        return cls(bucketed=config.bucketed, encoding_cache=encoding_cache)
 
     # ------------------------------------------------------------------ #
     # Circuitformer
@@ -295,9 +254,6 @@ class TrainingEngine:
         wall0 = time.perf_counter()
         phases = {"prepare": 0.0, "forward": 0.0, "backward": 0.0,
                   "optimizer": 0.0, "validation": 0.0}
-        if self.executor:
-            phases["compile"] = 0.0
-            phases["plan_step"] = 0.0
         rng = np.random.default_rng(config.seed)
 
         t0 = time.perf_counter()
@@ -316,18 +272,7 @@ class TrainingEngine:
         perm = rng.permutation(n)
         val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-        opt_cls = nn.Adam if self.fused else nn.ReferenceAdam
-        opt = opt_cls(model.parameters(), lr=config.circuitformer_lr)
-
-        # Executor mode: one compiled train-step plan per padded batch
-        # shape, plus forward-only validation plans; weight casts for
-        # fp32 are shared across all plans through one cast cache.
-        step_plans: dict = {}
-        val_plans: dict = {}
-        cast_cache: dict = {}
-
-        def step_fn(ids, pad_mask, target):
-            return nn.mse_loss(model.forward(ids, pad_mask), target)
+        opt = nn.Adam(model.parameters(), lr=config.circuitformer_lr)
 
         history: list[EpochStats] = []
         steps = 0
@@ -337,51 +282,22 @@ class TrainingEngine:
             for batch in self._epoch_batches(prepared, train_idx,
                                              config.circuitformer_batch, rng):
                 ids, mask = prepared.slice(batch)
-                if self.executor:
-                    plan = step_plans.get(ids.shape)
-                    if plan is not None and plan.is_stale():
-                        plan = None
-                    t0 = time.perf_counter()
-                    if plan is None:
-                        # The compile's dynamic trace IS this step: it
-                        # leaves the oracle gradients in Parameter.grad.
-                        opt.zero_grad()
-                        plan, loss_val = nn.compile_train_step(
-                            step_fn,
-                            {"ids": ids, "pad_mask": mask,
-                             "target": targets[batch]},
-                            precision=self.precision, cast_cache=cast_cache,
-                            free_graph=self.free_graph)
-                        step_plans[ids.shape] = plan
-                        phases["compile"] += time.perf_counter() - t0
-                    else:
-                        loss_val = plan.step(ids=ids, pad_mask=mask,
-                                             target=targets[batch])
-                        phases["plan_step"] += time.perf_counter() - t0
-                else:
-                    t0 = time.perf_counter()
-                    pred = model.forward(ids, mask)
-                    loss = nn.mse_loss(pred, targets[batch])
-                    phases["forward"] += time.perf_counter() - t0
-                    opt.zero_grad()
-                    t0 = time.perf_counter()
-                    loss.backward(free_graph=self.free_graph)
-                    phases["backward"] += time.perf_counter() - t0
-                    loss_val = loss.item()
                 t0 = time.perf_counter()
-                if self.fused:
-                    opt.step(max_grad_norm=5.0)
-                else:
-                    nn.clip_grad_norm(model.parameters(), 5.0)
-                    opt.step()
+                pred = model.forward(ids, mask)
+                loss = nn.mse_loss(pred, targets[batch])
+                phases["forward"] += time.perf_counter() - t0
+                opt.zero_grad()
+                t0 = time.perf_counter()
+                loss.backward()
+                phases["backward"] += time.perf_counter() - t0
+                t0 = time.perf_counter()
+                opt.step(max_grad_norm=5.0)
                 phases["optimizer"] += time.perf_counter() - t0
-                train_losses.append(loss_val)
+                train_losses.append(loss.item())
                 steps += 1
             model.eval()
             t0 = time.perf_counter()
-            val_loss = self._validation_loss(model, prepared, val_idx, targets,
-                                             val_plans=val_plans,
-                                             cast_cache=cast_cache)
+            val_loss = self._validation_loss(model, prepared, val_idx, targets)
             phases["validation"] += time.perf_counter() - t0
             stats = EpochStats(epoch, float(np.mean(train_losses)), val_loss)
             history.append(stats)
@@ -418,27 +334,11 @@ class TrainingEngine:
             yield batches[j]
 
     def _validation_loss(self, model, prepared: PreparedPathDataset,
-                         val_idx: np.ndarray, targets: np.ndarray,
-                         val_plans: dict | None = None,
-                         cast_cache: dict | None = None) -> float:
-        forward = model.forward
-        if self.executor:
-            val_plans = {} if val_plans is None else val_plans
-            cast_cache = {} if cast_cache is None else cast_cache
-
-            def forward(ids, mask, _plans=val_plans, _cache=cast_cache):
-                plan = _plans.get(ids.shape)
-                if plan is None or plan.is_stale():
-                    plan = nn.compile_forward(
-                        lambda ids, pad_mask: model.forward(ids, pad_mask),
-                        {"ids": ids, "pad_mask": mask},
-                        precision=self.precision, cast_cache=_cache)
-                    _plans[ids.shape] = plan
-                return nn.Tensor(plan.replay(ids=ids, pad_mask=mask))
+                         val_idx: np.ndarray, targets: np.ndarray) -> float:
         with nn.no_grad():
             if not self.bucketed:
                 ids, mask = prepared.slice(val_idx)
-                val_pred = forward(ids, mask)
+                val_pred = model.forward(ids, mask)
                 return nn.mse_loss(val_pred, targets[val_idx]).item()
             # Per-bucket forward passes; aggregate as sum-of-squared-errors
             # over element count, which equals the global-batch MSE.
@@ -446,7 +346,7 @@ class TrainingEngine:
             count = 0
             for rows in prepared.group_by_bucket(val_idx).values():
                 ids, mask = prepared.slice(rows)
-                pred = forward(ids, mask).numpy()
+                pred = model.forward(ids, mask).numpy()
                 err = pred - targets[rows]
                 sse += float((err * err).sum())
                 count += err.size
@@ -509,8 +409,7 @@ class TrainingEngine:
         phases["prepare"] += time.perf_counter() - t0
 
         params = [p for head in mlp.heads for p in head.parameters()]
-        opt_cls = nn.Adam if self.fused else nn.ReferenceAdam
-        opt = opt_cls(params, lr=config.aggregator_lr,
+        opt = nn.Adam(params, lr=config.aggregator_lr,
                       weight_decay=config.aggregator_weight_decay)
 
         n = len(designs)
@@ -530,14 +429,10 @@ class TrainingEngine:
                 phases["forward"] += time.perf_counter() - t0
                 opt.zero_grad()
                 t0 = time.perf_counter()
-                total.backward(free_graph=self.free_graph)
+                total.backward()
                 phases["backward"] += time.perf_counter() - t0
                 t0 = time.perf_counter()
-                if self.fused:
-                    opt.step(max_grad_norm=5.0)
-                else:
-                    nn.clip_grad_norm(params, 5.0)
-                    opt.step()
+                opt.step(max_grad_norm=5.0)
                 phases["optimizer"] += time.perf_counter() - t0
                 losses.append(total.item() / 3.0)
                 steps += 1

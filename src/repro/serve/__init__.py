@@ -9,8 +9,8 @@ throughput into user-facing latency under concurrency:
   ``BatchPredictor.predict_batch`` (size + deadline flush triggers,
   cancellation, per-request error isolation).
 - :class:`ModelRegistry` / :class:`ServedModel` — the warm model
-  registry: load-once, fingerprint-keyed, staleness-checked, with
-  shared per-precision compiled executors and caches.
+  registry: load-once, fingerprint-keyed, staleness-checked, with one
+  warm batch predictor and its caches per model.
 - :class:`RateLimiter` / :class:`TokenBucket` — per-client admission
   control; with the bounded queue, overload sheds as 429/503.
 - :class:`ServerMetrics` — per-endpoint counters, in-flight gauges,

@@ -5,11 +5,9 @@ memory, fully warmed: the fitted :class:`~repro.core.predictor.SNS`, a
 :class:`~repro.runtime.FrontendCache` and
 :class:`~repro.runtime.PredictionCache` adapting one **shared**
 :class:`~repro.store.ArtifactStore`, and one
-:class:`~repro.runtime.BatchPredictor` per requested precision (the
-fp64 predictor is bit-identical to ``SNS.predict``; reduced precisions
-get their own cache rows via the PR-5 fingerprint suffix).  Loading is
-single-flight per path — concurrent first requests for the same model
-deserialize it exactly once.
+:class:`~repro.runtime.BatchPredictor` (bit-identical to
+``SNS.predict``).  Loading is single-flight per path — concurrent first
+requests for the same model deserialize it exactly once.
 
 The registry mounts one store for the whole process (directory or
 SQLite backend via ``cache_dir``), and any number of sibling serve
@@ -45,64 +43,36 @@ class ServedModel:
     """One warm model: the SNS plus its serving-side cache adapters."""
 
     def __init__(self, sns, name: str, *, batch_size: int = 32,
-                 store: ArtifactStore | None = None, executor: bool = False,
-                 threads: int = 1):
+                 store: ArtifactStore | None = None):
         self.sns = sns
         self.name = name
-        self.batch_size = batch_size
-        self.executor = executor
-        self.threads = threads
         self.fingerprint = fingerprint_model(sns)
         self.store = store if store is not None else ArtifactStore()
         self.frontend_cache = FrontendCache(store=self.store)
         self.prediction_cache = PredictionCache(store=self.store)
         self.encoding_cache = EncodingCache()
-        self._predictors: dict[str, BatchPredictor] = {}
-        self._lock = threading.Lock()
-
-    def predictor(self, precision: str = "fp64") -> BatchPredictor:
-        """The shared warm :class:`BatchPredictor` for ``precision``.
-
-        All precisions share one prediction cache (reduced-precision
-        keys carry a precision suffix) and one front-end cache; the
-        compiled executor, when enabled, is built once per precision and
-        kept warm across requests.
-        """
-        with self._lock:
-            engine = self._predictors.get(precision)
-            if engine is None:
-                engine = BatchPredictor(
-                    self.sns, cache=self.prediction_cache,
-                    batch_size=self.batch_size,
-                    encoding_cache=self.encoding_cache,
-                    frontend_cache=self.frontend_cache,
-                    executor=self.executor, precision=precision,
-                    threads=self.threads)
-                self._predictors[precision] = engine
-            return engine
+        self.predictor = BatchPredictor(
+            sns, cache=self.prediction_cache, batch_size=batch_size,
+            encoding_cache=self.encoding_cache,
+            frontend_cache=self.frontend_cache)
 
     def fresh(self) -> bool:
         """Re-fingerprint the live weights; True if nothing changed.
 
         On a version bump (in-place fine-tuning) the stored fingerprint
-        is updated and the per-precision predictors are dropped so the
-        next request rebuilds them — compiled executors would otherwise
-        replay stale casts.  Cached predictions need no flushing: their
-        keys embed the old fingerprint, so they simply stop matching.
+        is updated.  Cached predictions need no flushing: their keys
+        embed the old fingerprint, so they simply stop matching.
         """
         current = fingerprint_model(self.sns)
         if current == self.fingerprint:
             return True
-        with self._lock:
-            self.fingerprint = current
-            self._predictors.clear()
+        self.fingerprint = current
         return False
 
     def stats(self) -> dict:
         return {
             "name": self.name,
             "fingerprint": self.fingerprint,
-            "precisions": sorted(self._predictors),
             "prediction_cache": self.prediction_cache.stats.as_dict(),
             "frontend_cache": self.frontend_cache.stats,
         }
@@ -113,11 +83,9 @@ class ModelRegistry:
     over one shared :class:`~repro.store.ArtifactStore`."""
 
     def __init__(self, *, batch_size: int = 32,
-                 cache_dir: str | Path | None = None, executor: bool = False,
-                 threads: int = 1, store: ArtifactStore | None = None):
+                 cache_dir: str | Path | None = None,
+                 store: ArtifactStore | None = None):
         self.batch_size = batch_size
-        self.executor = executor
-        self.threads = threads
         if store is None:
             backend = open_backend(cache_dir) if cache_dir else None
             store = ArtifactStore(backend=backend)
@@ -131,8 +99,7 @@ class ModelRegistry:
     # ------------------------------------------------------------------ #
     def _wrap(self, sns, name: str) -> ServedModel:
         return ServedModel(sns, name, batch_size=self.batch_size,
-                           store=self.store, executor=self.executor,
-                           threads=self.threads)
+                           store=self.store)
 
     def register(self, sns, name: str, persist: bool = False) -> ServedModel:
         """Adopt an already-fitted in-process model under ``name``.

@@ -8,8 +8,8 @@ One process, one event loop, a thread worker pool:
 - CPU-bound work (front-end compiles, batched inference, synthesis,
   training) trampolines onto the pool via ``run_in_executor``, where
   the numpy kernels release the GIL for real parallelism;
-- each (model, precision) pair gets its own
-  :class:`~repro.serve.batcher.MicroBatchQueue` feeding one shared warm
+- each served model gets its own
+  :class:`~repro.serve.batcher.MicroBatchQueue` feeding its one warm
   :class:`~repro.runtime.BatchPredictor`, so concurrent requests from
   unrelated clients coalesce into single pooled, deduplicated forward
   passes — responses stay bit-identical to direct ``SNS.predict``.
@@ -51,9 +51,6 @@ class ServeConfig:
     rate_limit: float | None = None    # per-client requests/sec (None = off)
     burst: float | None = None         # bucket capacity (default max(1, rate))
     request_timeout_s: float = 30.0    # per-request deadline -> 504
-    precision: str = "fp64"            # default executor arithmetic
-    executor: bool = False             # compiled per-bucket kernel plans
-    threads: int = 1                   # executor bucket-parallelism
     batch_size: int = 32               # predict_unique forward chunk
     cache_dir: str | None = None       # persistent cache root
     serialized: bool = False           # one-request-at-a-time baseline mode
@@ -78,13 +75,12 @@ class PredictionServer:
         self.config = config or ServeConfig()
         cfg = self.config
         self.registry = registry or ModelRegistry(
-            batch_size=cfg.batch_size, cache_dir=cfg.cache_dir,
-            executor=cfg.executor, threads=cfg.threads)
+            batch_size=cfg.batch_size, cache_dir=cfg.cache_dir)
         self.metrics = ServerMetrics()
         self.limiter = RateLimiter(cfg.rate_limit, cfg.burst)
         self._pool = ThreadPoolExecutor(
             max_workers=cfg.workers, thread_name_prefix="repro-serve")
-        self._batchers: dict[tuple[str, str], MicroBatchQueue] = {}
+        self._batchers: dict[str, MicroBatchQueue] = {}
         self._inflight: dict[str, _InFlight] = {}
         self._serial_lock = asyncio.Lock()
         self._train_lock = asyncio.Lock()
@@ -115,7 +111,7 @@ class PredictionServer:
             served = self.registry.get(str(ref))
         except KeyError as exc:
             raise HttpError(404, str(exc)) from exc
-        served.fresh()  # re-key + rebuild executors if weights moved
+        served.fresh()  # re-key if the weights moved in place
         return served
 
     # -- lifecycle ------------------------------------------------------ #
@@ -309,12 +305,10 @@ class PredictionServer:
                 400, f"front end rejected design: "
                      f"{type(exc).__name__}: {exc}") from exc
 
-    def _batcher_for(self, served: ServedModel,
-                     precision: str) -> MicroBatchQueue:
-        key = (served.name, precision)
-        batcher = self._batchers.get(key)
+    def _batcher_for(self, served: ServedModel) -> MicroBatchQueue:
+        batcher = self._batchers.get(served.name)
         if batcher is None:
-            engine = served.predictor(precision)
+            engine = served.predictor
             loop = asyncio.get_running_loop()
 
             async def run_batch(payloads, _engine=engine, _loop=loop):
@@ -330,12 +324,11 @@ class PredictionServer:
                 max_queue=self.config.max_queue,
                 max_concurrent=self.config.workers,
                 on_flush=self.metrics.observe_batch)
-            self._batchers[key] = batcher
+            self._batchers[served.name] = batcher
         return batcher
 
     @staticmethod
-    def _prediction_payload(pred, served: ServedModel,
-                            precision: str) -> dict:
+    def _prediction_payload(pred, served: ServedModel) -> dict:
         return {
             "design": pred.design,
             "timing_ps": pred.timing_ps,
@@ -346,14 +339,15 @@ class PredictionServer:
             "critical_path": (None if pred.critical_path is None
                               else list(pred.critical_path.tokens)),
             "model": served.fingerprint,
-            "precision": precision,
         }
 
     async def _handle_predict(self, request: Request, writer) -> Response:
         self._admit(request, writer)
         body = request.json()
+        precision = body.get("precision", "fp64")
+        if precision != "fp64":
+            raise HttpError(400, f"precision must be 'fp64': got {precision!r}")
         served = self._resolve_model(body)
-        precision = str(body.get("precision", self.config.precision))
         activity = self._parse_activity(body)
         loop = asyncio.get_running_loop()
 
@@ -363,25 +357,22 @@ class PredictionServer:
             async with self._serial_lock:
                 graph = await loop.run_in_executor(
                     self._pool, self._compile_request, body, served)
-                engine = served.predictor(precision)
                 preds = await loop.run_in_executor(
-                    self._pool, lambda: engine.predict_batch(
+                    self._pool, lambda: served.predictor.predict_batch(
                         [graph], activity_maps=[activity]))
-            return Response(200, self._prediction_payload(
-                preds[0], served, precision))
+            return Response(200, self._prediction_payload(preds[0], served))
 
         graph = await loop.run_in_executor(
             self._pool, self._compile_request, body, served)
 
         # Single-flight: identical concurrent requests (same graph,
-        # model, sampler, activity, precision) share one computation and
+        # model, sampler, activity) share one computation and
         # therefore exactly one PredictionCache round trip.
         from ..runtime.fingerprint import (cache_key, fingerprint_activity,
                                            fingerprint_graph,
                                            fingerprint_sampler)
 
-        key = cache_key(fingerprint_graph(graph),
-                        f"{served.fingerprint}:{precision}",
+        key = cache_key(fingerprint_graph(graph), served.fingerprint,
                         fingerprint_sampler(served.sns.sampler),
                         fingerprint_activity(activity))
         entry = self._inflight.get(key)
@@ -390,7 +381,7 @@ class PredictionServer:
             self.metrics.observe_single_flight_hit()
             shared = entry
         else:
-            batcher = self._batcher_for(served, precision)
+            batcher = self._batcher_for(served)
             task = loop.create_task(batcher.submit((graph, activity)))
             shared = _InFlight(task)
             self._inflight[key] = shared
@@ -414,8 +405,7 @@ class PredictionServer:
         except asyncio.CancelledError:
             raise
         shared.waiters -= 1
-        return Response(200, self._prediction_payload(
-            pred, served, precision))
+        return Response(200, self._prediction_payload(pred, served))
 
     # .. dse ............................................................ #
     async def _handle_dse(self, request: Request, writer) -> Response:

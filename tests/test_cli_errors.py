@@ -1,9 +1,13 @@
-"""The front-end CLI verbs report a bad input file in one line, exit 2.
+"""Every CLI verb reports a bad input or output path in one line, exit 2.
 
 ``synth``, ``report``, ``paths``, ``compile`` and ``predict`` print one
 ``repro: error: ...`` line naming the file (and the line, where the
 front end knows it) instead of a traceback, for a missing or unreadable
 file and for Verilog that fails to preprocess, parse or elaborate.
+``serve`` and ``dse`` do the same for their model file, ``export`` for
+an unknown design name, ``train``/``datagen``/``export`` for an output
+directory that does not exist (before any work), and ``cache stats|gc``
+for a store path that does not exist (without creating it).
 """
 
 import os
@@ -82,3 +86,57 @@ def test_subprocess_exit_status(kind, verb, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert_one_error_line(proc.stderr, path, expected)
+
+
+@pytest.mark.parametrize("kind", ["missing", "unreadable"])
+@pytest.mark.parametrize("verb", ["serve", "dse"])
+def test_bad_model(verb, kind, tmp_path, capsys):
+    path, expected = bad_input(tmp_path, kind)
+    assert main([verb, str(path)]) == 2
+    assert_one_error_line(capsys.readouterr().err, path, expected)
+
+
+def test_export_unknown_name(tmp_path, capsys):
+    out = tmp_path / "out.v"
+    assert main(["export", "no_such_design", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, "no_such_design",
+                          "export --list")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["train"], ["datagen"], ["export", "gpio16"]])
+def test_output_directory_missing(args, tmp_path, capsys, monkeypatch):
+    import repro.datagen
+    import repro.experiments
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(repro.experiments, "build_dataset", no_work)
+    monkeypatch.setattr(repro.datagen, "build_design_dataset_profiled", no_work)
+    out = tmp_path / "missing" / "out"
+    assert main([*args, str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, out, "no directory")
+
+
+@pytest.mark.parametrize("name", ["typo.sqlite", "typo-dir"])
+@pytest.mark.parametrize("command", ["stats", "gc"])
+def test_cache_missing_store(command, name, tmp_path, capsys):
+    path = tmp_path / name
+    assert main(["cache", command, str(path)]) == 2
+    assert_one_error_line(capsys.readouterr().err, path, "no artifact store")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("verb", ["serve", "cache"])
+def test_subprocess_other_verbs(verb, tmp_path):
+    path = tmp_path / "missing.npz"
+    args = ["cache", "stats", str(path)] if verb == "cache" else [verb, str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert str(path) in proc.stderr

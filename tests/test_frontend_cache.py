@@ -85,6 +85,47 @@ class TestModuleCache:
         assert from_graph.fingerprint() == from_module.fingerprint()
         assert compile_design(from_graph) is from_graph
 
+    def test_class_source_misses_do_not_overlap(self, monkeypatch):
+        """``inspect.getsource`` runs ``ast``, whose constructor is not
+        safe to enter from two threads at once; misses must serialize."""
+        import threading
+        import time
+
+        from repro.runtime import frontend
+
+        active = 0
+        peak = 0
+        guard = threading.Lock()
+
+        def slow_getsource(cls):
+            nonlocal active, peak
+            with guard:
+                active += 1
+                peak = max(peak, active)
+            time.sleep(0.02)
+            with guard:
+                active -= 1
+            return f"class {cls.__name__}: pass"
+
+        monkeypatch.setattr(frontend.inspect, "getsource", slow_getsource)
+        monkeypatch.setattr(frontend, "_MODULE_SOURCE_FP", {})
+        classes = [type(f"Fresh{i}", (), {}) for i in range(8)]
+        barrier = threading.Barrier(len(classes))
+
+        def fingerprint(cls):
+            barrier.wait(timeout=10)
+            frontend._class_source_fp(cls)
+
+        threads = [threading.Thread(target=fingerprint, args=(cls,))
+                   for cls in classes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert peak == 1
+        assert set(frontend._MODULE_SOURCE_FP) == set(classes)
+
 
 class TestPathReplay:
     def test_replayed_paths_equal_fresh_sample(self, tmp_path):

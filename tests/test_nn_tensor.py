@@ -272,6 +272,20 @@ class TestGraphMechanics:
             t.join()
         assert seen == [True]
 
+    def test_no_grad_decorator_forms(self):
+        from repro.nn import is_grad_enabled
+
+        @no_grad
+        def bare():
+            return is_grad_enabled()
+
+        @no_grad()
+        def called():
+            return is_grad_enabled()
+
+        assert bare() is False and called() is False
+        assert is_grad_enabled() is True
+
     def test_grad_accumulates_on_reuse(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * x + x  # dy/dx = 2x + 1 = 5

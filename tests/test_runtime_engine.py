@@ -283,31 +283,6 @@ class TestActivityResolution:
         assert resolved == [entry, None]
 
 
-class TestExecutorEngine:
-    def test_fp64_executor_predictions_bitwise(self, tiny_sns, graphs):
-        """The compiled executor path shares cache entries with the
-        dynamic path because its fp64 outputs are bit-identical."""
-        sns, _ = tiny_sns
-        plain = BatchPredictor(sns, caching=False).predict_batch(graphs[:3])
-        compiled = BatchPredictor(sns, caching=False, executor=True,
-                                  threads=2).predict_batch(graphs[:3])
-        for a, b in zip(plain, compiled):
-            assert (a.timing_ps, a.area_um2, a.power_mw) == \
-                   (b.timing_ps, b.area_um2, b.power_mw)
-
-    def test_reduced_precision_gets_own_cache_rows(self, tiny_sns, graphs):
-        sns, _ = tiny_sns
-        cache = PredictionCache()
-        BatchPredictor(sns, cache=cache).predict_batch(graphs[:1])
-        engine8 = BatchPredictor(sns, cache=cache, executor=True,
-                                 precision="int8")
-        engine8.predict_batch(graphs[:1])
-        # Different precision must not hit the fp64 entry.
-        assert cache.stats.misses == 2
-        engine8.predict_batch(graphs[:1])
-        assert cache.stats.memory_hits == 1
-
-
 class TestParallelDataset:
     def test_matches_serial_builder(self, tiny_sns):
         _, records = tiny_sns

@@ -83,7 +83,7 @@ class TestCompatParity:
     def test_circuitformer_matches_reference_loop(self, records):
         """Engine compat mode == reference loop: curves and weights."""
         config = TrainingConfig(circuitformer_epochs=3, circuitformer_batch=16,
-                                seed=0)  # bucketed=False, fused=True defaults
+                                seed=0)  # bucketed=False default
         ref_model = Circuitformer(TINY_CF, seed=0)
         ref_hist = train_circuitformer_reference(ref_model, records, config)
 
@@ -119,20 +119,6 @@ class TestCompatParity:
                 np.testing.assert_allclose(np.asarray(ep.data),
                                            np.asarray(rp.data),
                                            rtol=0, atol=1e-9, err_msg=name)
-
-    def test_unfused_engine_matches_fused(self, records):
-        """Reference optimizers inside the engine change nothing."""
-        config = TrainingConfig(circuitformer_epochs=2, circuitformer_batch=16,
-                                seed=0)
-        fused = Circuitformer(TINY_CF, seed=0)
-        hist_f = TrainingEngine(bucketed=False, fused=True).train_circuitformer(
-            fused, records, config)
-        plain = Circuitformer(TINY_CF, seed=0)
-        hist_p = TrainingEngine(bucketed=False, fused=False).train_circuitformer(
-            plain, records, config)
-        assert [s.train_loss for s in hist_f] == [s.train_loss for s in hist_p]
-        for name, value in fused.state_dict().items():
-            np.testing.assert_array_equal(value, plain.state_dict()[name])
 
 
 # --------------------------------------------------------------------- #

@@ -96,7 +96,6 @@ class TestPredictParity:
                 assert doc["power_mw"] == direct.power_mw
                 assert doc["num_paths"] == direct.num_paths
                 assert doc["model"] == fingerprint_model(sns)
-                assert doc["precision"] == "fp64"
             client.close()
 
     def test_bit_identical_by_source(self, tiny_sns):
@@ -136,6 +135,23 @@ class TestPredictParity:
             assert status == 404
             client.close()
 
+    def test_precision_other_than_fp64_is_400(self, tiny_sns):
+        """The server runs fp64 only: any other precision is rejected by
+        name, and rejected requests create no extra batcher."""
+        sns, _ = tiny_sns
+        server, thread = serve(sns)
+        with thread as handle:
+            client = ServeClient("127.0.0.1", handle.port)
+            assert client.post("/predict", {"design": "gpio16",
+                                            "precision": "fp64"})[0] == 200
+            for precision in ("fp32", "int8", "fp32"):
+                status, doc = client.post("/predict", {
+                    "design": "gpio16", "precision": precision})
+                assert status == 400, doc
+                assert "precision" in doc["error"]
+            client.close()
+        assert list(server._batchers) == ["default"]
+
     def test_serialized_baseline_same_answers(self, tiny_sns):
         """The benchmark's baseline mode serves identical payloads."""
         sns, entries = tiny_sns
@@ -157,7 +173,7 @@ class TestSingleFlight:
         server, thread = serve(sns, max_wait_ms=1.0)
         served = server.registry.get("default")
 
-        engine = served.predictor("fp64")
+        engine = served.predictor
         compute_calls = []
         entered = threading.Event()
         real_predict = engine.predict_batch
@@ -250,10 +266,10 @@ class TestAdmission:
         release = threading.Event()
         names = ["gpio16", "conv3x3", "piecewise8"]
         with thread as handle:
-            # First request creates the (model, precision) batcher...
+            # First request creates the model's batcher...
             setup = ServeClient("127.0.0.1", handle.port, client_id="setup")
             assert setup.post("/predict", {"design": "gpio16"})[0] == 200
-            batcher = server._batchers[("default", "fp64")]
+            batcher = server._batchers["default"]
 
             # ...then gate it at the async layer (off the worker pool, so
             # later requests can still compile and reach admission).
@@ -302,7 +318,7 @@ class TestAdmission:
         sns, _ = tiny_sns
         server, thread = serve(sns, request_timeout_s=0.2)
         served = server.registry.get("default")
-        engine = served.predictor("fp64")
+        engine = served.predictor
         real_predict = engine.predict_batch
         stall = threading.Event()
 
@@ -436,8 +452,7 @@ class TestCli:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", str(model_path),
              "--port", "0", "--max-batch", "8", "--max-wait-ms", "5",
-             "--rate-limit", "500", "--cache-dir", str(tmp_path / "cache"),
-             "--precision", "fp64"],
+             "--rate-limit", "500", "--cache-dir", str(tmp_path / "cache")],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         try:
             line = proc.stdout.readline()
