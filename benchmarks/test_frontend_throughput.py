@@ -118,7 +118,7 @@ def measure() -> dict:
         "warm_speedup": ref_s / warm_s,
         "cold_exact": _equal(ref, cold),
         "warm_exact": _equal(ref, warm),
-        "cache_stats": cache.stats,
+        "cache_stats": cache.store.counters(("graph", "paths")),
     }
 
 

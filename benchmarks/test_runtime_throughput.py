@@ -130,20 +130,23 @@ def test_runtime_throughput(benchmark, bench_sns):
 
 def test_runtime_cache_cross_process_tier(bench_sns, tmp_path):
     """The disk tier makes a re-run of an overlapping sweep near-free."""
-    from repro.runtime import BatchPredictor, PredictionCache
+    from repro.runtime import BatchPredictor
+    from repro.store import ArtifactStore, open_backend
 
     batch = make_sweep_batch()[:6]
     disk = tmp_path / "predcache"
-    first = BatchPredictor(bench_sns, cache=PredictionCache(disk_dir=disk))
+    first = BatchPredictor(bench_sns,
+                           store=ArtifactStore(backend=open_backend(disk)))
     cold = first.predict_batch(batch)
 
-    # Fresh process-level cache, same disk tier: all disk hits.
-    second = BatchPredictor(bench_sns, cache=PredictionCache(disk_dir=disk))
+    # Fresh process-level store, same disk tier: all disk hits.
+    store = ArtifactStore(backend=open_backend(disk))
+    second = BatchPredictor(bench_sns, store=store)
     t0 = time.perf_counter()
     warm = second.predict_batch(batch)
     disk_seconds = time.perf_counter() - t0
 
-    assert second.cache.stats.disk_hits == len(batch)
+    assert store.counters(("prediction",))["persistent_hits"] == len(batch)
     assert all(a.timing_ps == b.timing_ps and a.area_um2 == b.area_um2
                for a, b in zip(cold, warm))
     print(f"\ndisk-tier re-run: {len(batch)} designs in {disk_seconds:.3f}s "

@@ -34,7 +34,7 @@ from repro.core import (SNS, CircuitformerConfig, PathSampler, TrainingConfig,
                         save_sns)
 from repro.datagen import build_design_dataset
 from repro.designs import GEMMUnit, SIMDALU, standard_designs
-from repro.runtime import BatchPredictor, FrontendCache, PredictionCache
+from repro.runtime import BatchPredictor, FrontendCache
 from repro.store import ArtifactStore, DirectoryBackend, SQLiteBackend, \
     open_backend
 
@@ -73,7 +73,7 @@ def bench_sns():
 WARMER = r"""
 import sys
 from repro.core import load_sns
-from repro.runtime import BatchPredictor, FrontendCache, PredictionCache
+from repro.runtime import BatchPredictor, FrontendCache
 from repro.store import ArtifactStore, open_backend
 
 sys.path.insert(0, sys.argv[3])
@@ -81,8 +81,7 @@ from test_store_throughput import make_sweep_batch
 
 sns = load_sns(sys.argv[1])
 store = ArtifactStore(backend=open_backend(sys.argv[2]))
-engine = BatchPredictor(sns, cache=PredictionCache(store=store),
-                        frontend_cache=FrontendCache(store=store))
+engine = BatchPredictor(sns, store=store, frontend_cache=FrontendCache(store))
 engine.predict_batch(make_sweep_batch())
 store.close()
 """
@@ -90,8 +89,7 @@ store.close()
 
 def _engine(sns, backend) -> BatchPredictor:
     store = ArtifactStore(backend=backend)
-    return BatchPredictor(sns, cache=PredictionCache(store=store),
-                          frontend_cache=FrontendCache(store=store))
+    return BatchPredictor(sns, store=store, frontend_cache=FrontendCache(store))
 
 
 def _measure_backend(sns, model_path, spec) -> dict:
@@ -107,7 +105,7 @@ def _measure_backend(sns, model_path, spec) -> dict:
     cold_engine = _engine(sns, open_backend(spec))
     cold = cold_engine.predict_batch(batch)
     cold_seconds = time.perf_counter() - t0
-    cold_engine.cache.store.clear(memory_only=False)
+    cold_engine.store.clear(memory_only=False)
 
     # A different process sweeps the same batch into the backend...
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -123,8 +121,8 @@ def _measure_backend(sns, model_path, spec) -> dict:
     warm = warm_engine.predict_batch(batch)
     warm_seconds = time.perf_counter() - t0
 
-    stats = warm_engine.cache.stats
-    assert stats.disk_hits == len(batch), vars(stats)
+    stats = warm_engine.store.counters(("prediction",))
+    assert stats["persistent_hits"] == len(batch), stats
     bit_identical = all(
         w.timing_ps == d.timing_ps and w.area_um2 == d.area_um2
         and w.power_mw == d.power_mw for w, d in zip(warm, direct))

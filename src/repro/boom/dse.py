@@ -85,20 +85,19 @@ class BoomDSE:
     def __init__(self, predictor: SNS | None = None,
                  synthesizer: Synthesizer | None = None,
                  perf_model: CoreMarkModel | None = None,
-                 cache=None, batch_size: int = 32, frontend_cache=None):
+                 batch_size: int = 32, frontend_cache=None):
         if (predictor is None) == (synthesizer is None):
             raise ValueError("provide exactly one of predictor / synthesizer")
         self.predictor = predictor
         self.synthesizer = synthesizer
         self.perf_model = perf_model or CoreMarkModel()
         if predictor is not None:
-            from ..runtime import (BatchPredictor, FrontendCache,
-                                   PredictionCache)
+            from ..runtime import BatchPredictor, FrontendCache
 
             self.frontend_cache = frontend_cache or FrontendCache()
             self._batch_engine = BatchPredictor(
-                predictor, cache=cache or PredictionCache(),
-                batch_size=batch_size, frontend_cache=self.frontend_cache)
+                predictor, batch_size=batch_size,
+                frontend_cache=self.frontend_cache)
         else:
             self.frontend_cache = None
             self._batch_engine = None

@@ -11,13 +11,13 @@ train OUT.npz     Train SNS on the bundled hardware design dataset and
 datagen [OUT.json]
                   Build the Hardware Design Dataset (synthesize all 41
                   bundled designs), optionally in parallel
-                  (``--workers``) and against a persistent synthesis
-                  cache (``--cache-dir``); ``--profile`` prints where
+                  (``--workers``) and against a persistent artifact
+                  store (``--cache-dir``); ``--profile`` prints where
                   the wall-clock went.
 predict MODEL FILE.v [FILE2.v ...]
                   Predict one or more Verilog designs with a trained
                   model through the batched runtime (``--cache-dir``
-                  persists the prediction cache across invocations).
+                  keeps predictions across invocations).
 dse MODEL         Budgeted streaming DSE over the BOOM space
                   (``--space boom|extended --budget N --fidelity F
                   --chunk N --seed N --profile``): seeded lazy sampling,
@@ -25,8 +25,8 @@ dse MODEL         Budgeted streaming DSE over the BOOM space
                   incremental Pareto front.
 paths FILE.v      Sample complete circuit paths from a design.
 compile FILE.v    Compile a design through the array front end (CSR
-                  GraphIR); ``--cache-dir`` persists the compile cache
-                  and ``--profile`` prints per-stage timings.
+                  GraphIR); ``--cache-dir`` keeps compiled graphs and
+                  ``--profile`` prints per-stage timings.
 serve MODEL       Run the async prediction server: cross-request
                   micro-batching into the warm BatchPredictor, per-
                   client rate limits, bounded-queue load shedding, and
@@ -42,13 +42,19 @@ cache gc PATH     Age/size-bounded sweep of a store's persistent tier
                   (``--max-age-days D --max-bytes N[K|M|G] --dry-run``).
 export NAME OUT.v Emit a bundled dataset design as Verilog
                   (``export --list`` shows the 41 names).
+
+Every ``--cache-dir PATH`` (``predict``, ``compile``, ``datagen``,
+``serve``) opens the same artifact store: a directory, or a SQLite file
+(``.sqlite``/``.sqlite3``/``.db`` or an existing database), so the
+verbs warm each other and ``cache stats|gc`` sees everything they
+wrote.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 __all__ = ["main"]
@@ -77,6 +83,24 @@ def _check_output(path: str) -> None:
     parent = Path(path).parent
     if not parent.is_dir():
         raise CLIError(f"cannot write {path}: no directory {parent}")
+
+
+def _check_cache_dir(path: str | None) -> None:
+    """Reject a ``--cache-dir`` no artifact store can live at, before any
+    work: a path under a regular file, or a regular file that is not a
+    SQLite database."""
+    if not path:
+        return
+    target = Path(path)
+    blocker = next(p for p in target.parents if p.exists())
+    if not blocker.is_dir():
+        raise CLIError(f"cannot use cache {path}: {blocker} is not a directory")
+    if target.is_file():
+        with _open_input(path, lambda p: open(p, "rb")) as f:
+            header = f.read(16)
+        if header and header != b"SQLite format 3\x00":
+            raise CLIError(f"cannot use cache {path}: not a directory "
+                           "or a SQLite database")
 
 
 @contextmanager
@@ -148,6 +172,7 @@ def _cmd_datagen(args) -> int:
 
     if args.output:
         _check_output(args.output)
+    _check_cache_dir(args.cache_dir)
     workers = None if args.workers == 0 else args.workers
     synth = Synthesizer(effort=args.effort)
     records, profile = build_design_dataset_profiled(
@@ -181,21 +206,25 @@ def _print_prediction(pred) -> None:
 
 def _cmd_predict(args) -> int:
     from .core.persistence import load_sns
-    from .runtime import BatchPredictor, PredictionCache
+    from .runtime import BatchPredictor
+    from .store import ArtifactStore, open_backend
 
+    _check_cache_dir(args.cache_dir)
     graphs = [_read_design(path) for path in args.designs]
     sns = _open_input(args.model, load_sns)
-    cache = PredictionCache(disk_dir=args.cache_dir)
-    engine = BatchPredictor(sns, cache=cache, caching=not args.no_cache)
-    preds = engine.predict_batch(graphs)
+    store = ArtifactStore(
+        backend=open_backend(args.cache_dir) if args.cache_dir else None)
+    with closing(store):
+        engine = BatchPredictor(sns, store=store, caching=not args.no_cache)
+        preds = engine.predict_batch(graphs)
     for i, pred in enumerate(preds):
         if i:
             print()
         _print_prediction(pred)
     if len(preds) > 1 or args.cache_dir:
-        stats = cache.stats
-        print(f"\n[{len(preds)} designs; cache: {stats.memory_hits} memory / "
-              f"{stats.disk_hits} disk hits, {stats.misses} misses]")
+        c = store.counters(("prediction",))
+        print(f"\n[{len(preds)} designs; cache: {c['memory_hits']} memory / "
+              f"{c['persistent_hits']} disk hits, {c['misses']} misses]")
     return 0
 
 
@@ -253,6 +282,7 @@ def _cmd_serve(args) -> int:
 
     from .serve import PredictionServer, ServeConfig
 
+    _check_cache_dir(args.cache_dir)
     config = ServeConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
@@ -372,12 +402,15 @@ def _cmd_paths(args) -> int:
 def _cmd_compile(args) -> int:
     from .core import PathSampler
     from .runtime import FrontendCache, compile_source_profiled
+    from .store import ArtifactStore, open_backend
 
+    _check_cache_dir(args.cache_dir)
     source = _read_source(args.design)
-    cache = (FrontendCache(disk_dir=args.cache_dir)
-             if args.cache_dir else FrontendCache())
+    store = ArtifactStore(
+        backend=open_backend(args.cache_dir) if args.cache_dir else None)
+    cache = FrontendCache(store)
     sampler = PathSampler(k=args.k) if args.sample else None
-    with _front_end_errors(args.design):
+    with closing(store), _front_end_errors(args.design):
         cg, profile = compile_source_profiled(source, top=args.top,
                                               cache=cache, sampler=sampler)
     counts = cg.token_counts()
@@ -389,11 +422,11 @@ def _cmd_compile(args) -> int:
         print("profile:")
         print(profile.format())
         if args.cache_dir:
-            stats = cache.stats
-            print(f"cache:   {stats['object_hits']} object hits, "
-                  f"{stats['memory_hits']} memory hits, "
-                  f"{stats['disk_hits']} disk hits, "
-                  f"{stats['misses']} misses")
+            c = store.counters((cache.GRAPH_KIND, cache.PATHS_KIND))
+            print(f"cache:   {c['object_hits']} object hits, "
+                  f"{c['memory_hits']} memory hits, "
+                  f"{c['persistent_hits']} disk hits, "
+                  f"{c['misses']} misses")
     return 0
 
 
@@ -427,8 +460,7 @@ def _cmd_cache_stats(args) -> int:
     per_kind = defaultdict(lambda: {"entries": 0, "bytes": 0,
                                     "oldest_s": 0.0, "newest_s": None})
     for entry in backend.entries():
-        kind = entry.kind or "(flat)"
-        row = per_kind[kind]
+        row = per_kind[entry.kind]
         row["entries"] += 1
         row["bytes"] += entry.size
         age = max(0.0, now - entry.created_at)
@@ -505,7 +537,8 @@ def main(argv: list[str] | None = None) -> int:
     p_datagen.add_argument("--workers", type=int, default=1,
                            help="process-pool size (0 = CPU count)")
     p_datagen.add_argument("--cache-dir", default=None,
-                           help="persist the synthesis cache to this directory")
+                           help="artifact store for synthesis labels "
+                                "(a directory or a .sqlite file)")
     p_datagen.add_argument("--max-nodes", type=int, default=None,
                            help="skip designs larger than this many nodes")
     p_datagen.add_argument("--profile", action="store_true",
@@ -517,7 +550,8 @@ def main(argv: list[str] | None = None) -> int:
     p_pred.add_argument("designs", nargs="+", metavar="design",
                         help="one or more Verilog files (batched together)")
     p_pred.add_argument("--cache-dir", default=None,
-                        help="persist the prediction cache to this directory")
+                        help="artifact store for predictions "
+                             "(a directory or a .sqlite file)")
     p_pred.add_argument("--no-cache", action="store_true",
                         help="disable the prediction cache")
     p_pred.set_defaults(fn=_cmd_predict)
@@ -534,7 +568,8 @@ def main(argv: list[str] | None = None) -> int:
     p_compile.add_argument("--top", default=None,
                            help="top module (default: inferred)")
     p_compile.add_argument("--cache-dir", default=None,
-                           help="persist the compile cache to this directory")
+                           help="artifact store for compiled graphs "
+                                "(a directory or a .sqlite file)")
     p_compile.add_argument("--profile", action="store_true",
                            help="print per-stage front-end timings")
     p_compile.add_argument("--sample", action="store_true",
@@ -586,7 +621,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--request-timeout", type=float, default=30.0,
                          help="per-request deadline in seconds (504 beyond)")
     p_serve.add_argument("--cache-dir", default=None,
-                         help="persist prediction/front-end caches here")
+                         help="artifact store shared by every worker "
+                              "(a directory or a .sqlite file)")
     p_serve.add_argument("--serialized", action="store_true",
                          help="one-request-at-a-time baseline mode "
                               "(benchmarking)")

@@ -238,8 +238,7 @@ class SNS:
             spread=spread,
         )
 
-    def predict_many(self, designs, activity_maps=None, cache=None,
-                     batch_size: int = 32,
+    def predict_many(self, designs, activity_maps=None, batch_size: int = 32,
                      frontend_cache=None) -> list[SNSPrediction]:
         """Batch prediction over an iterable of designs.
 
@@ -250,14 +249,13 @@ class SNS:
         a dict keyed by elaborated design name (``graph.name`` — resolved
         consistently for both :class:`CircuitGraph` and :class:`Module`
         inputs, warning on unmatched keys) or a sequence aligned with
-        ``designs``.  Pass a :class:`repro.runtime.PredictionCache` as
-        ``cache`` to reuse results across calls, and a
+        ``designs``.  Predictions are not cached; pass a
         :class:`repro.runtime.FrontendCache` as ``frontend_cache`` to
-        also reuse elaborated graphs and sampled paths.
+        reuse elaborated graphs and sampled paths across calls (or use a
+        :class:`repro.runtime.BatchPredictor` directly to keep results).
         """
         from ..runtime import BatchPredictor
 
-        engine = BatchPredictor(self, cache=cache, batch_size=batch_size,
-                                caching=cache is not None,
+        engine = BatchPredictor(self, batch_size=batch_size, caching=False,
                                 frontend_cache=frontend_cache)
         return engine.predict_batch(designs, activity_maps=activity_maps)

@@ -8,11 +8,10 @@
 - Family-aware train/test splitting: designs generated from the same
   parameterizable base never straddle the split (Section 4.1).
 
-Path sampling here (and in the ``repro.runtime.parallel`` workers) runs
-on the sampler's default array engine: each ``DesignRecord.graph``
-compiles once to CSR form (memoized on the graph instance) and the
-iterative array walk samples it — bit-identical paths to the reference
-engine, so dataset content is unchanged.
+Path sampling here runs on the sampler's default array engine: each
+``DesignRecord.graph`` compiles once to CSR form (memoized on the graph
+instance) and the iterative array walk samples it — bit-identical paths
+to the reference engine, so dataset content is unchanged.
 """
 
 from __future__ import annotations
@@ -121,9 +120,10 @@ def build_design_dataset(entries: list[DesignEntry],
     ``num_workers`` fans the per-entry elaborate+synthesize out over a
     process pool (``num_workers=None`` uses the CPU count); records are
     merged back in registry order, bit-identical to the serial builder.
-    ``cache_dir`` enables the disk-tier
-    :class:`repro.synth.cache.SynthesisCache`, keyed on graph structure
-    x library x effort, so rebuilds replay labels instead of
+    ``cache_dir`` (a directory or a ``.sqlite`` file, opened with
+    :func:`repro.store.open_backend` like every ``--cache-dir``) keeps
+    labels in the ``synth`` kind of an artifact store, keyed on graph
+    structure x library x effort, so rebuilds replay labels instead of
     re-synthesizing.
     """
     records, _ = build_design_dataset_profiled(
@@ -161,24 +161,12 @@ def build_design_dataset_profiled(
 
 def sample_path_dataset(records: list[DesignRecord],
                         sampler: PathSampler | None = None,
-                        synthesizer: Synthesizer | None = None,
-                        num_workers: int = 1) -> list[PathRecord]:
+                        synthesizer: Synthesizer | None = None) -> list[PathRecord]:
     """Sample complete circuit paths from designs and label each one.
 
     Duplicate token sequences across designs are collapsed — the Circuit
     Path Dataset keys on the path itself (Table 5).
-
-    ``num_workers`` fans the per-design sampling + labeling out over a
-    process pool (``repro.runtime.parallel``); the merged result is
-    bit-identical to the serial builder.  ``num_workers=None`` uses the
-    CPU count.
     """
-    if num_workers is None or num_workers != 1:
-        from ..runtime.parallel import parallel_sample_path_dataset
-
-        return parallel_sample_path_dataset(
-            records, sampler=sampler, synthesizer=synthesizer,
-            num_workers=num_workers)
     if sampler is None:
         from ..core.sampler import PathSampler
 

@@ -81,7 +81,7 @@ class DianNaoDSE:
                  synthesizer: Synthesizer | None = None,
                  perf_model: DianNaoPerfModel | None = None,
                  use_power_gating: bool = True,
-                 cache=None, batch_size: int = 32, frontend_cache=None):
+                 batch_size: int = 32, frontend_cache=None):
         if (predictor is None) == (synthesizer is None):
             raise ValueError("provide exactly one of predictor / synthesizer")
         self.predictor = predictor
@@ -89,13 +89,12 @@ class DianNaoDSE:
         self.perf_model = perf_model or DianNaoPerfModel()
         self.use_power_gating = use_power_gating
         if predictor is not None:
-            from ..runtime import (BatchPredictor, FrontendCache,
-                                   PredictionCache)
+            from ..runtime import BatchPredictor, FrontendCache
 
             self.frontend_cache = frontend_cache or FrontendCache()
             self._batch_engine = BatchPredictor(
-                predictor, cache=cache or PredictionCache(),
-                batch_size=batch_size, frontend_cache=self.frontend_cache)
+                predictor, batch_size=batch_size,
+                frontend_cache=self.frontend_cache)
         else:
             self.frontend_cache = None
             self._batch_engine = None

@@ -331,8 +331,7 @@ class ExplorationEngine:
 
     def __init__(self, factory: Callable[..., Any], engine,
                  grid: ParameterGrid, score: Callable | None = None,
-                 config: EngineConfig | None = None, cache=None,
-                 frontend_cache=None):
+                 config: EngineConfig | None = None, frontend_cache=None):
         if not isinstance(engine, (SNS, Synthesizer)):
             raise TypeError(
                 f"engine must be SNS or Synthesizer, got {type(engine).__name__}")
@@ -342,13 +341,11 @@ class ExplorationEngine:
         self.score = score
         self.config = config or EngineConfig()
         if isinstance(engine, SNS):
-            from ..runtime import (BatchPredictor, DeltaElaborator,
-                                   PredictionCache)
+            from ..runtime import BatchPredictor, DeltaElaborator
 
             self.delta = DeltaElaborator(cache=frontend_cache)
             self._batch_engine = BatchPredictor(
-                engine, cache=cache or PredictionCache(),
-                frontend_cache=self.delta.cache)
+                engine, frontend_cache=self.delta.cache)
         else:
             self.delta = None
             self._batch_engine = None

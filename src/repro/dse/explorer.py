@@ -102,11 +102,6 @@ class DesignSpaceExplorer:
     score:
         Optional callable ``(params, timing_ps, area_um2, power_mw) ->
         float``; defaults to predicted clock frequency.
-    cache:
-        Optional :class:`repro.runtime.PredictionCache` shared across
-        ``explore`` calls (SNS engines only).  When omitted, an
-        in-memory cache is created per explorer, so re-exploring an
-        overlapping grid is near-free.
     frontend_cache:
         Optional :class:`repro.runtime.FrontendCache` (SNS engines only).
         When omitted, an in-memory one is created per explorer, so the
@@ -115,7 +110,7 @@ class DesignSpaceExplorer:
     """
 
     def __init__(self, factory: Callable[..., Module], engine,
-                 score: Callable | None = None, cache=None,
+                 score: Callable | None = None,
                  batch_size: int = 32, frontend_cache=None):
         if not isinstance(engine, (SNS, Synthesizer)):
             raise TypeError(
@@ -128,13 +123,12 @@ class DesignSpaceExplorer:
         # pinned by the streaming regression test.
         self.last_peak_live_modules = 0
         if isinstance(engine, SNS):
-            from ..runtime import (BatchPredictor, FrontendCache,
-                                   PredictionCache)
+            from ..runtime import BatchPredictor, FrontendCache
 
             self.frontend_cache = frontend_cache or FrontendCache()
             self._batch_engine = BatchPredictor(
-                engine, cache=cache or PredictionCache(),
-                batch_size=batch_size, frontend_cache=self.frontend_cache)
+                engine, batch_size=batch_size,
+                frontend_cache=self.frontend_cache)
         else:
             self.frontend_cache = None
             self._batch_engine = None

@@ -67,8 +67,8 @@ def build_dataset(settings: ExperimentSettings = FAST,
 
     ``num_workers``/``cache_dir`` pass through to
     :func:`repro.datagen.build_design_dataset` (process-pool fan-out and
-    the disk-tier synthesis cache); the records are bit-identical either
-    way.
+    the artifact store that keeps synthesis labels); the records are
+    bit-identical either way.
     """
     synth = Synthesizer(effort=settings.synth_effort)
     return build_design_dataset(standard_designs(), synth,

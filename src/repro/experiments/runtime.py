@@ -168,8 +168,8 @@ class ThroughputReport:
         }
 
 
-def throughput_comparison(sns: SNS, graphs, batch_size: int = 32,
-                          cache=None) -> ThroughputReport:
+def throughput_comparison(sns: SNS, graphs,
+                          batch_size: int = 32) -> ThroughputReport:
     """Measure the batched runtime against the serial prediction paths.
 
     ``graphs`` is a list of :class:`CircuitGraph` (or
@@ -179,7 +179,7 @@ def throughput_comparison(sns: SNS, graphs, batch_size: int = 32,
     kernel, the batched engine with a cold cache, and the batched engine
     again with the cache warm.
     """
-    from ..runtime import BatchPredictor, PredictionCache
+    from ..runtime import BatchPredictor
 
     graphs = [g.graph if isinstance(g, DesignRecord) else g for g in graphs]
     if not graphs:
@@ -194,8 +194,7 @@ def throughput_comparison(sns: SNS, graphs, batch_size: int = 32,
     serial_bucketed_s = time.perf_counter() - start
     del serial_unbucketed
 
-    engine = BatchPredictor(sns, cache=cache or PredictionCache(),
-                            batch_size=batch_size)
+    engine = BatchPredictor(sns, batch_size=batch_size)
     start = time.perf_counter()
     batched = engine.predict_batch(graphs)
     batched_cold_s = time.perf_counter() - start
@@ -219,6 +218,6 @@ def throughput_comparison(sns: SNS, graphs, batch_size: int = 32,
         serial_bucketed_seconds=serial_bucketed_s,
         batched_cold_seconds=batched_cold_s,
         batched_warm_seconds=batched_warm_s,
-        cache_stats=engine.cache.stats.as_dict(),
+        cache_stats=engine.store.counters(("prediction",)),
         bit_identical=bit_identical,
     )

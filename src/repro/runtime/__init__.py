@@ -3,23 +3,23 @@
 Layers a batched, cached serving engine over the core SNS predictor:
 
 - :class:`BatchPredictor` — cross-design path dedup + length-bucketed
-  pooled forward passes, bit-identical to serial ``SNS.predict``.
-- :class:`PredictionCache` — content-addressed (graph, weights, sampler,
-  activity) cache with an in-memory LRU tier and an optional disk tier.
+  pooled forward passes, bit-identical to serial ``SNS.predict``, with
+  results kept under the ``prediction`` kind of a
+  :class:`repro.store.ArtifactStore` keyed on (graph, weights, sampler,
+  activity).
 - :class:`TrainingEngine` — length-bucketed minibatching with fused
   in-place optimizer steps, graph-freeing backward, and epoch-persistent
   encodings (:class:`PreparedPathDataset` / :class:`EncodingCache`),
   reporting per-phase :class:`TrainerProfile` timings.
-- :func:`parallel_sample_path_dataset` /
-  :func:`parallel_build_design_dataset` — process-pool label generation
-  for the Circuit Path and Hardware Design Datasets.
+- :func:`parallel_build_design_dataset` — process-pool label
+  generation for the Hardware Design Dataset.
 - :class:`FrontendCache` / :func:`compile_source` / :func:`compile_module`
   — the content-addressed compiled front end (source -> CompiledGraph
-  -> sampled paths) with per-stage :class:`FrontendProfile` timings.
+  -> sampled paths) over the store's ``graph`` and ``paths`` kinds,
+  with per-stage :class:`FrontendProfile` timings.
 - Fingerprint helpers for cache keying and invalidation.
 """
 
-from .cache import CacheStats, PredictionCache
 from .engine import BatchPredictor, resolve_activity_maps
 from .frontend import (
     DeltaElaborator,
@@ -40,18 +40,15 @@ from .fingerprint import (
     fingerprint_model,
     fingerprint_sampler,
 )
-from .parallel import (derive_design_seed, parallel_build_design_dataset,
-                       parallel_sample_path_dataset)
+from .parallel import parallel_build_design_dataset
 from .trainer import (EncodingCache, PreparedPathDataset, TrainerProfile,
                       TrainingEngine)
 
 __all__ = [
     "BatchPredictor", "resolve_activity_maps",
-    "PredictionCache", "CacheStats",
     "TrainingEngine", "PreparedPathDataset", "EncodingCache", "TrainerProfile",
     "cache_key", "fingerprint_activity", "fingerprint_graph",
     "fingerprint_library", "fingerprint_model", "fingerprint_sampler",
-    "derive_design_seed", "parallel_sample_path_dataset",
     "parallel_build_design_dataset",
     "FrontendCache", "FrontendProfile", "DeltaElaborator",
     "compile_design", "compile_module", "compile_source",

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.predictor import SNS, SNSPrediction
 from ..core.sampler import SampledPath
-from .cache import PredictionCache
+from ..store import ArtifactStore
 from .fingerprint import (cache_key, fingerprint_activity, fingerprint_graph,
                           fingerprint_model, fingerprint_sampler)
 
@@ -79,7 +79,7 @@ def resolve_activity_maps(graphs, activity_maps) -> list[dict | None]:
 def _entry_from_parts(timing: float, area: float, power: float,
                       num_paths: int, spread: dict | None,
                       critical: SampledPath | None) -> dict:
-    """Serialize one prediction into the cache's JSON-friendly schema."""
+    """Serialize one prediction into the ``prediction`` payload schema."""
     return {
         "timing_ps": timing,
         "area_um2": area,
@@ -118,16 +118,17 @@ class BatchPredictor:
     ----------
     sns:
         A fitted predictor; the engine never mutates it.
-    cache:
-        A :class:`PredictionCache` (defaults to a fresh in-memory LRU).
-        Pass ``cache=None`` explicitly via ``caching=False`` to disable.
+    store:
+        The :class:`~repro.store.ArtifactStore` whose ``prediction``
+        kind holds results (defaults to a fresh in-memory store).
     batch_size:
         Forward-pass chunk size handed to ``predict_unique``.  The
         default 32 keeps each flattened GEMM inside the CPU cache; on a
         pooled bucket it measures ~25% faster than 128-row chunks, and
         the kernel's output is chunk-size independent.
     caching:
-        Set False to skip fingerprinting and cache lookups entirely.
+        Set False to skip fingerprinting and store lookups entirely;
+        ``store`` is then ``None``.
     encoding_cache:
         Optional :class:`repro.runtime.trainer.EncodingCache` handed to
         ``predict_unique`` so repeated bucket chunks skip re-encoding —
@@ -135,12 +136,12 @@ class BatchPredictor:
         serving time.
     """
 
-    def __init__(self, sns: SNS, cache: PredictionCache | None = None,
+    def __init__(self, sns: SNS, store: ArtifactStore | None = None,
                  batch_size: int = 32, caching: bool = True,
                  encoding_cache=None, frontend_cache=None):
         self.sns = sns
         self.caching = caching
-        self.cache = (cache if cache is not None else PredictionCache()) \
+        self.store = (store if store is not None else ArtifactStore()) \
             if caching else None
         self.batch_size = batch_size
         self.encoding_cache = encoding_cache
@@ -182,7 +183,7 @@ class BatchPredictor:
             for i, (graph, activity) in enumerate(zip(graphs, activities)):
                 keys[i] = cache_key(fingerprint_graph(graph), model_fp,
                                     sampler_fp, fingerprint_activity(activity))
-                entry = self.cache.get(keys[i])
+                entry = self.store.get("prediction", keys[i])
                 if entry is not None:
                     results[i] = entry
                 else:
@@ -223,7 +224,7 @@ class BatchPredictor:
             entry = _entry_from_parts(timing, area, power, len(paths),
                                       spread, critical)
             if self.caching:
-                self.cache.put(key, entry)
+                self.store.put("prediction", key, entry)
             for i in members:
                 results[i] = entry
 

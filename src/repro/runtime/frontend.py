@@ -7,12 +7,13 @@ front-end work:
   into a flat :class:`repro.graphir.GraphBuilder` and return a
   :class:`CompiledGraph` (CSR adjacency, int-coded tokens) — the form
   the array path sampler and vectorized statistics consume.
-- :class:`FrontendCache` content-addresses the whole front end: a
-  fingerprint of (source text x top x defines) — or (module class
-  source x parameters) — short-circuits to a serialized CompiledGraph,
-  and a second tier keyed on (graph content x sampler config) replays
-  previously sampled paths.  Both engines of the sampler are
-  bit-identical, so replayed paths equal a fresh sample exactly.
+- :class:`FrontendCache` content-addresses the whole front end in the
+  artifact store: a fingerprint of (source text x top x defines) — or
+  (module class source x parameters) — short-circuits to a stored
+  CompiledGraph, and a second kind keyed on (graph content x sampler
+  config) replays previously sampled paths.  Both engines of the
+  sampler are bit-identical, so replayed paths equal a fresh sample
+  exactly.
 - :class:`FrontendProfile` times each stage (lex / parse / elaborate /
   compile / sample) for the ``repro compile --profile`` CLI verb.
 """
@@ -25,10 +26,9 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..graphir import CircuitGraph, CompiledGraph, as_compiled, compile_graph
-from ..store import ArtifactStore, DirectoryBackend
+from ..store import ArtifactStore
 from .fingerprint import fingerprint_sampler
 
 __all__ = [
@@ -148,15 +148,15 @@ def fingerprint_frontend_module(module, params: dict | None = None) -> str:
 
 # ---------------------------------------------------------------------- #
 class FrontendCache:
-    """Content-addressed cache of compiled graphs and sampled paths — a
-    schema adapter over :class:`repro.store.ArtifactStore`.
+    """Compiled graphs and sampled paths in an
+    :class:`repro.store.ArtifactStore` (a fresh in-memory one by default).
 
-    Three tiers, cheapest first: the store's live-object tier (the
-    :class:`CompiledGraph` / path tuples, no deserialization), its
-    memory LRU, and its optional persistent backend (survives across
-    processes).  Payload serialization is lazy: with no persistent
-    backend attached, ``put_graph``/``put_paths`` never call
-    ``to_payload()`` — the object tier alone serves in-process reuse.
+    This class only hides the two payload formats: graphs live in the
+    store's ``graph`` kind (``CompiledGraph.to_payload``), paths in its
+    ``paths`` kind as node-id lists whose tokens are rebuilt from the
+    graph.  Both travel through the store's object tier, so
+    serialization is lazy: with no persistent backend attached,
+    ``put_graph``/``put_paths`` never build a payload.
 
     The path tier is keyed on (graph *content* fingerprint x sampler
     config), so two differently-named designs that elaborate to the same
@@ -168,14 +168,8 @@ class FrontendCache:
     GRAPH_KIND = "graph"
     PATHS_KIND = "paths"
 
-    def __init__(self, max_entries: int = 4096,
-                 disk_dir: str | Path | None = None,
-                 store: ArtifactStore | None = None):
-        if store is None:
-            backend = (DirectoryBackend(disk_dir, flat=True)
-                       if disk_dir is not None else None)
-            store = ArtifactStore(max_entries=max_entries, backend=backend)
-        self.store = store
+    def __init__(self, store: ArtifactStore | None = None):
+        self.store = store if store is not None else ArtifactStore()
 
     # -- compiled graphs ----------------------------------------------- #
     def get_graph(self, key: str) -> CompiledGraph | None:
@@ -221,26 +215,6 @@ class FrontendCache:
             paths = sampler.sample(cg)
             self.put_paths(cg, sampler, paths)
         return paths
-
-    # ------------------------------------------------------------------ #
-    @property
-    def object_hits(self) -> int:
-        return self.store.counters((self.GRAPH_KIND, self.PATHS_KIND))[
-            "object_hits"]
-
-    @property
-    def stats(self) -> dict:
-        c = self.store.counters((self.GRAPH_KIND, self.PATHS_KIND))
-        hits = c["object_hits"] + c["memory_hits"] + c["persistent_hits"]
-        lookups = hits + c["misses"]
-        return {"object_hits": c["object_hits"],
-                "memory_hits": c["memory_hits"],
-                "disk_hits": c["persistent_hits"],
-                "misses": c["misses"],
-                "hit_rate": hits / lookups if lookups else 0.0}
-
-    def clear(self, memory_only: bool = True) -> None:
-        self.store.clear(memory_only=memory_only)
 
 
 # ---------------------------------------------------------------------- #

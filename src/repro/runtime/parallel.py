@@ -1,139 +1,44 @@
-"""Process-pool parallelism for the embarrassingly-parallel labeling paths.
+"""Process-pool fan-out for the Hardware Design Dataset (Table 4).
 
-Building either dataset spends almost all its time in per-design work
-with no cross-design dependency except final merge order:
-
-- Circuit Path Dataset (Table 5): path sampling plus one synthesizer
-  run per sampled path.  ``parallel_sample_path_dataset`` fans designs
-  out over a process pool and merges worker outputs back in
-  deterministic design order, so the result is bit-identical to the
-  serial builder regardless of worker count or scheduling.
-- Hardware Design Dataset (Table 4): one elaborate + synthesize per
-  registry entry.  ``parallel_build_design_dataset`` uses the same
-  ordered-map-with-serial-fallback shape, and additionally routes each
-  entry through the disk-tier :class:`repro.synth.cache.SynthesisCache`
-  when a ``cache_dir`` is given — workers share labels through the disk
-  tier (atomic JSON writes), so concurrent duplicate synthesis is at
-  worst wasted work, never corruption.
-
-Seeding is deterministic per design: by default every design samples
-with the sampler's own seed (exactly matching the serial builder); with
-``per_design_seed=True`` each design's seed is derived from the base
-seed and the design name via CRC-32, decorrelating sibling designs
-while staying reproducible and order-independent.
+Building the dataset spends almost all its time in one elaborate +
+synthesize per registry entry, with no cross-entry dependency except
+final merge order.  ``parallel_build_design_dataset`` maps entries over
+a process pool and merges the records back in entry order, so the
+result is bit-identical to the serial builder.  With a ``cache_dir``
+each entry's label goes through the ``synth`` kind of an
+:class:`repro.store.ArtifactStore` on ``open_backend(cache_dir)`` (a
+directory or a SQLite file): workers share labels through the
+persistent tier, so concurrent duplicate synthesis is at worst wasted
+work, never corruption.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
-import zlib
-from dataclasses import replace
 
-from ..datagen.dataset import DesignRecord, PathRecord
-from ..synth import Synthesizer
+from ..datagen.dataset import DesignRecord
+from ..store import ArtifactStore, open_backend
+from ..synth import SynthesisResult, Synthesizer, synthesis_cache_key
 
-__all__ = ["derive_design_seed", "parallel_sample_path_dataset",
-           "parallel_build_design_dataset"]
+__all__ = ["parallel_build_design_dataset"]
 
-
-def derive_design_seed(base_seed: int, design_name: str) -> int:
-    """Deterministic per-design seed: stable across runs and processes."""
-    return (base_seed * 0x9E3779B1 + zlib.crc32(design_name.encode())) % (2 ** 31)
+# One store per cache path per process: worker processes are reused
+# across map items, so the memory tier amortizes repeated backend reads
+# within a worker while the persistent tier shares across workers.
+_SYNTH_CACHES: dict[str, ArtifactStore] = {}
 
 
-def _label_one_design(args) -> list[PathRecord]:
-    """Worker: sample one design's paths and synthesize a label for each.
-
-    Dedup here is per-design only; the parent re-dedups globally in
-    design order, so first-occurrence semantics match the serial builder.
-    """
-    record, sampler, synthesizer, seed = args
-    if seed is not None:
-        sampler = replace(sampler, seed=seed)
-    seen: set[tuple[str, ...]] = set()
-    unique: list[tuple[str, ...]] = []
-    for path in sampler.sample(record.graph):
-        if path.tokens in seen:
-            continue
-        seen.add(path.tokens)
-        unique.append(path.tokens)
-    labels = synthesizer.synthesize_path_batch([list(t) for t in unique])
-    return [PathRecord(tokens=tokens, timing_ps=label.timing_ps,
-                       area_um2=label.area_um2, power_mw=label.power_mw)
-            for tokens, label in zip(unique, labels)]
-
-
-def parallel_sample_path_dataset(records: list[DesignRecord],
-                                 sampler=None,
-                                 synthesizer: Synthesizer | None = None,
-                                 num_workers: int | None = None,
-                                 per_design_seed: bool = False) -> list[PathRecord]:
-    """Parallel drop-in for :func:`repro.datagen.dataset.sample_path_dataset`.
-
-    ``num_workers=None`` uses the CPU count; ``num_workers<=1`` (or any
-    pool failure, e.g. a restricted environment without process
-    spawning) falls back to in-process execution with identical output.
-    """
-    if sampler is None:
-        from ..core.sampler import PathSampler
-
-        sampler = PathSampler()
-    synthesizer = synthesizer or Synthesizer(effort="medium")
-    if num_workers is None:
-        num_workers = os.cpu_count() or 1
-    num_workers = min(num_workers, len(records)) if records else 0
-
-    jobs = [(record, sampler, synthesizer,
-             derive_design_seed(sampler.seed, record.name)
-             if per_design_seed else None)
-            for record in records]
-
-    per_design: list[list[PathRecord]]
-    if num_workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=num_workers) as pool:
-                per_design = list(pool.map(_label_one_design, jobs))
-        except Exception:
-            # Pools can fail in sandboxed/importless environments; the
-            # serial path produces the identical dataset.
-            per_design = [_label_one_design(job) for job in jobs]
-    else:
-        per_design = [_label_one_design(job) for job in jobs]
-
-    seen: set[tuple[str, ...]] = set()
-    merged: list[PathRecord] = []
-    for design_records in per_design:
-        for path_record in design_records:
-            if path_record.tokens in seen:
-                continue
-            seen.add(path_record.tokens)
-            merged.append(path_record)
-    return merged
-
-
-# ---------------------------------------------------------------------- #
-# Hardware Design Dataset fan-out
-# ---------------------------------------------------------------------- #
-
-# One SynthesisCache per cache directory per process: worker processes
-# are reused across map items, so the memory tier amortizes repeated
-# disk reads within a worker while the disk tier shares across workers.
-_SYNTH_CACHES: dict[str, object] = {}
-
-
-def _design_cache(cache_dir):
+def _design_store(cache_dir) -> ArtifactStore | None:
     if cache_dir is None:
         return None
     key = str(cache_dir)
-    cache = _SYNTH_CACHES.get(key)
-    if cache is None:
-        from ..synth.cache import SynthesisCache
-
-        cache = _SYNTH_CACHES[key] = SynthesisCache(disk_dir=cache_dir)
-    return cache
+    store = _SYNTH_CACHES.get(key)
+    if store is None:
+        store = _SYNTH_CACHES[key] = ArtifactStore(
+            backend=open_backend(cache_dir))
+    return store
 
 
 def _synthesize_one_entry(args):
@@ -148,16 +53,21 @@ def _synthesize_one_entry(args):
     graph = entry.module.elaborate()
     if max_nodes is not None and graph.num_nodes > max_nodes:
         return None, time.perf_counter() - start, None
-    cache = _design_cache(cache_dir)
-    result = None
-    hit = None
-    if cache is not None:
-        result = cache.get(graph, synthesizer.library, synthesizer.effort)
-        hit = result is not None
-    if result is None:
+    store = _design_store(cache_dir)
+    payload = hit = None
+    if store is not None:
+        key = synthesis_cache_key(graph, synthesizer.library,
+                                  synthesizer.effort)
+        payload = store.get("synth", key)
+        hit = payload is not None
+    if payload is not None:
+        # The graph fingerprint ignores names, so structurally identical
+        # designs share one entry: re-stamp it with this graph's name.
+        result = SynthesisResult(**{**payload, "design": graph.name})
+    else:
         result = synthesizer.synthesize(graph)
-        if cache is not None:
-            cache.put(graph, synthesizer.library, synthesizer.effort, result)
+        if store is not None:
+            store.put("synth", key, dataclasses.asdict(result))
     record = DesignRecord(
         name=entry.name,
         family=entry.family,

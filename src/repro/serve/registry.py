@@ -1,20 +1,21 @@
 """The warm model registry: load-once, fingerprint-keyed, staleness-checked.
 
 A serving process holds every model it has ever been asked for in
-memory, fully warmed: the fitted :class:`~repro.core.predictor.SNS`, a
-:class:`~repro.runtime.FrontendCache` and
-:class:`~repro.runtime.PredictionCache` adapting one **shared**
-:class:`~repro.store.ArtifactStore`, and one
-:class:`~repro.runtime.BatchPredictor` (bit-identical to
-``SNS.predict``).  Loading is single-flight per path — concurrent first
-requests for the same model deserialize it exactly once.
+memory, fully warmed: the fitted :class:`~repro.core.predictor.SNS`
+and one :class:`~repro.runtime.BatchPredictor` (bit-identical to
+``SNS.predict``) whose predictions, compiled graphs and sampled paths
+all live in one **shared** :class:`~repro.store.ArtifactStore`.
+Loading is single-flight per path — concurrent first requests for the
+same model deserialize it exactly once.
 
 The registry mounts one store for the whole process (directory or
-SQLite backend via ``cache_dir``), and any number of sibling serve
-workers may mount the same one: compiled graphs, sampled paths, and
-predictions any worker computes are warm for all of them, and models
-persisted by ``/train`` (see :class:`~repro.store.ModelStore`) are
-resolvable by name, fingerprint, or fingerprint prefix after a restart.
+SQLite backend via ``cache_dir``, opened like every other
+``--cache-dir``), and any number of sibling serve workers — or
+``repro predict``/``compile``/``datagen`` runs — may mount the same
+one: compiled graphs, sampled paths, and predictions any of them
+computes are warm for all, and models persisted by ``/train`` (see
+:class:`~repro.store.ModelStore`) are resolvable by name, fingerprint,
+or fingerprint prefix after a restart.
 
 Models are addressable three ways: by registry *name* (``"default"``,
 a CLI-chosen alias, or a ``/train``-assigned id), by *model
@@ -31,8 +32,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-from ..runtime import (BatchPredictor, FrontendCache, PredictionCache,
-                       fingerprint_model)
+from ..runtime import BatchPredictor, FrontendCache, fingerprint_model
 from ..runtime.trainer import EncodingCache
 from ..store import ArtifactStore, ModelStore, open_backend
 
@@ -40,7 +40,7 @@ __all__ = ["ServedModel", "ModelRegistry"]
 
 
 class ServedModel:
-    """One warm model: the SNS plus its serving-side cache adapters."""
+    """One warm model: the SNS plus its predictor over the shared store."""
 
     def __init__(self, sns, name: str, *, batch_size: int = 32,
                  store: ArtifactStore | None = None):
@@ -48,11 +48,10 @@ class ServedModel:
         self.name = name
         self.fingerprint = fingerprint_model(sns)
         self.store = store if store is not None else ArtifactStore()
-        self.frontend_cache = FrontendCache(store=self.store)
-        self.prediction_cache = PredictionCache(store=self.store)
+        self.frontend_cache = FrontendCache(self.store)
         self.encoding_cache = EncodingCache()
         self.predictor = BatchPredictor(
-            sns, cache=self.prediction_cache, batch_size=batch_size,
+            sns, store=self.store, batch_size=batch_size,
             encoding_cache=self.encoding_cache,
             frontend_cache=self.frontend_cache)
 
@@ -70,12 +69,7 @@ class ServedModel:
         return False
 
     def stats(self) -> dict:
-        return {
-            "name": self.name,
-            "fingerprint": self.fingerprint,
-            "prediction_cache": self.prediction_cache.stats.as_dict(),
-            "frontend_cache": self.frontend_cache.stats,
-        }
+        return {"name": self.name, "fingerprint": self.fingerprint}
 
 
 class ModelRegistry:

@@ -367,7 +367,8 @@ class PredictionServer:
 
         # Single-flight: identical concurrent requests (same graph,
         # model, sampler, activity) share one computation and
-        # therefore exactly one PredictionCache round trip.
+        # therefore exactly one read and one write of the store's
+        # ``prediction`` kind.
         from ..runtime.fingerprint import (cache_key, fingerprint_activity,
                                            fingerprint_graph,
                                            fingerprint_sampler)

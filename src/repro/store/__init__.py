@@ -3,11 +3,13 @@
 One store, three tiers (live-object LRU, memory LRU, pluggable
 persistent backend), dependency-aware keys spanning the whole pipeline:
 graph -> paths -> synthesis labels -> predictions -> trained-model
-weights.  ``FrontendCache``, ``SynthesisCache``, ``PredictionCache``,
-and the serve ``ModelRegistry`` are thin schema adapters over it, and
-because both persistent backends (directory, SQLite/WAL) tolerate any
-number of concurrent processes, every warm hit is fleet-wide: a
-``repro serve`` worker, a ``build_design_dataset`` pool worker, and a
+weights.  ``BatchPredictor``, the dataset builder, ``FrontendCache``
+and the serve ``ModelRegistry`` all read and write its kinds, and every
+``--cache-dir`` opens the same store through :func:`open_backend` (a
+directory or a SQLite file).  Because both persistent backends
+(directory, SQLite/WAL) tolerate any number of concurrent processes,
+every warm hit is fleet-wide: a ``repro serve`` worker, a
+``repro predict`` run, a ``build_design_dataset`` pool worker, and a
 DSE sweep mounting one store all replay each other's work.
 
 See :mod:`repro.store.keys` for the key schema,

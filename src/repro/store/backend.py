@@ -3,12 +3,9 @@
 Two implementations behind one small interface, both safe for many
 processes mounting the same store concurrently:
 
-- :class:`DirectoryBackend` — one JSON file per key with two-level
-  fanout, unique-temp staging, and atomic-rename publish.  In ``flat``
-  layout it is bit-compatible with the directories the PR 1-9 caches
-  wrote (``root/<key[:2]>/<key>.json``); the default ``kinds`` layout
-  adds one artifact-kind directory level so a single root can hold the
-  whole pipeline.
+- :class:`DirectoryBackend` — one JSON file per key under
+  ``root/<kind>/<key[:2]>/<key>.json``, with unique-temp staging and
+  atomic-rename publish, so a single root holds the whole pipeline.
 - :class:`SQLiteBackend` — one WAL-mode database file with write-once
   ``INSERT OR IGNORE`` rows and *batched* multi-get/multi-put, which is
   what makes a 1k-entry warm scan one round trip instead of 1k file
@@ -89,19 +86,8 @@ class PersistentBackend:
 
 # ---------------------------------------------------------------------- #
 class DirectoryBackend(PersistentBackend):
-    """One JSON file per artifact under ``root``.
-
-    Parameters
-    ----------
-    root:
-        Store directory; created on first write.
-    flat:
-        ``True`` mounts the legacy single-purpose layout
-        (``root/<key[:2]>/<key>.json``, kind ignored) that
-        ``PredictionCache``/``FrontendCache``/``SynthesisCache`` wrote
-        in PRs 1-9, keeping those directories readable and writable
-        bit-for-bit.  The default layered layout prefixes the artifact
-        kind (``root/<kind>/<key[:2]>/<key>.json``).
+    """One JSON file per artifact at ``root/<kind>/<key[:2]>/<key>.json``
+    (``root`` is created on first write).
 
     Publishes are atomic (unique temp + rename) and last-writer-wins:
     entries are content-addressed so every writer of a key carries the
@@ -111,13 +97,11 @@ class DirectoryBackend(PersistentBackend):
 
     name = "directory"
 
-    def __init__(self, root: str | Path, flat: bool = False):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.flat = flat
 
     def _path(self, kind: str, key: str) -> Path:
-        base = self.root if self.flat else self.root / kind
-        return base / key[:2] / f"{key}.json"
+        return self.root / kind / key[:2] / f"{key}.json"
 
     def get(self, kind: str, key: str) -> dict | None:
         try:
@@ -144,14 +128,13 @@ class DirectoryBackend(PersistentBackend):
     def entries(self):
         if not self.root.is_dir():
             return
-        pattern = "*/*.json" if self.flat else "*/*/*.json"
-        for path in self.root.glob(pattern):
+        for path in self.root.glob("*/*/*.json"):
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            kind = "" if self.flat else path.parts[len(self.root.parts)]
-            yield BackendEntry(kind=kind, key=path.stem, size=stat.st_size,
+            yield BackendEntry(kind=path.parts[len(self.root.parts)],
+                               key=path.stem, size=stat.st_size,
                                created_at=stat.st_mtime)
 
     def delete(self, kind: str, key: str) -> None:
@@ -160,9 +143,7 @@ class DirectoryBackend(PersistentBackend):
     def clear(self) -> None:
         if not self.root.is_dir():
             return
-        patterns = (("*/*.json", "*/.*.tmp") if self.flat
-                    else ("*/*/*.json", "*/*/.*.tmp"))
-        for pattern in patterns:
+        for pattern in ("*/*/*.json", "*/*/.*.tmp"):
             for path in self.root.glob(pattern):
                 path.unlink(missing_ok=True)
 
@@ -357,7 +338,7 @@ def open_backend(spec: str | Path) -> PersistentBackend:
 
     ``*.sqlite`` / ``*.sqlite3`` / ``*.db`` (or an existing regular
     file) opens a :class:`SQLiteBackend`; anything else is a
-    :class:`DirectoryBackend` root in the layered (per-kind) layout.
+    :class:`DirectoryBackend` root.
     """
     path = Path(spec)
     if path.suffix in (".sqlite", ".sqlite3", ".db") or path.is_file():

@@ -18,10 +18,11 @@ activity).  Editing one Verilog line changes the graph fingerprint and
 thereby every downstream key; retraining changes the model fingerprint
 and invalidates predictions but leaves graphs, paths, and labels warm.
 
-The byte layouts below are the exact layouts the PR 1-9 caches wrote to
-disk (``repro.runtime.fingerprint.cache_key``,
-``repro.synth.cache.synthesis_cache_key``, ``FrontendCache.path_key``
-now delegate here), so existing on-disk entries stay addressable.
+``repro.runtime.fingerprint.cache_key``,
+``repro.synth.cache.synthesis_cache_key`` and ``FrontendCache.path_key``
+delegate here, so every layer addresses an artifact the same way.  The
+byte layouts are fixed: changing one orphans every entry that SQLite
+and directory stores already hold.
 
 This module is deliberately dependency-free (hashlib/json only): it
 takes *fingerprint strings*, not live objects, so ``repro.store`` never

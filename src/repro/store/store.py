@@ -1,8 +1,11 @@
 """The unified content-addressed artifact store.
 
-One :class:`ArtifactStore` replaces the per-purpose object/memory/disk
-tier stacks that ``FrontendCache``, ``SynthesisCache``, and
-``PredictionCache`` each reimplemented.  Three tiers, cheapest first:
+One :class:`ArtifactStore` holds every reusable artifact of the
+pipeline, and callers read and write its kinds directly:
+``BatchPredictor`` the ``prediction`` kind, the dataset builder the
+``synth`` kind, ``FrontendCache`` (which only hides the payload
+formats) the ``graph`` and ``paths`` kinds, and ``ModelStore`` the
+trained models.  Three tiers, cheapest first:
 
 - **object** — live deserialized values (a ``CompiledGraph``, a path
   tuple), LRU-bounded, no (de)serialization on a hit;
@@ -20,8 +23,8 @@ model weights — for any number of models and workers at once.
 
 Serialization is lazy: ``put_object`` only invokes its ``encode``
 callback when a persistent backend is attached, so memory-only stores
-never pay payload construction (the PR-10 fix for ``FrontendCache``
-serializing every compiled graph it would never write).
+never pay payload construction (no compiled graph is serialized
+unless it will be written).
 
 All hit/miss counters are per-kind, per-tier, and mutated only under
 the store lock, so ``/metrics`` aggregation and concurrent workers
@@ -308,7 +311,7 @@ class ArtifactStore:
             visible |= {key for k, key in self._objects if k == kind}
         if self.backend is not None:
             visible |= {e.key for e in self.backend.entries()
-                        if e.kind == kind or e.kind == ""}
+                        if e.kind == kind}
         return visible
 
     def clear(self, memory_only: bool = True) -> None:

@@ -15,7 +15,7 @@ from .synthesizer import (SynthesisResult, PathResult, Synthesizer,
                           path_to_graph, EFFORT_PASSES, SYNTH_ENGINES)
 from .engine import (CompiledNetlist, compile_netlist, array_sta,
                      size_gates_array, synthesize_path_batch)
-from .cache import SynthesisCache, synthesis_cache_key
+from .cache import synthesis_cache_key
 from .scaling import NODE_FACTORS, scale_value, scale_result, ScaledResult
 from .report import TimingPath, AreaLine, PowerLine, SynthesisReport, analyze
 from .retiming import retime_backward
@@ -30,7 +30,7 @@ __all__ = [
     "EFFORT_PASSES", "SYNTH_ENGINES",
     "CompiledNetlist", "compile_netlist", "array_sta", "size_gates_array",
     "synthesize_path_batch",
-    "SynthesisCache", "synthesis_cache_key",
+    "synthesis_cache_key",
     "NODE_FACTORS", "scale_value", "scale_result", "ScaledResult",
     "TimingPath", "AreaLine", "PowerLine", "SynthesisReport", "analyze",
     "retime_backward",

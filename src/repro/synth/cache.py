@@ -1,30 +1,24 @@
-"""Memoization of design-level synthesis results over the artifact store.
+"""The content address of one design-level synthesis label.
 
 A synthesized label is a pure function of four inputs: the elaborated
 graph structure, the technology library's cost basis, the effort level,
 and the optional register-activity map.  :func:`synthesis_cache_key`
 hashes exactly those four (via the unified :mod:`repro.store.keys`
-schema, byte-compatible with entries written by earlier revisions), so
-a dataset rebuild after an unrelated code change — or from a sibling
-process in the ``build_design_dataset`` worker pool — replays labels
-from the shared tier instead of re-synthesizing.
+schema), so a dataset rebuild after an unrelated code change — or from
+a sibling process in the ``build_design_dataset`` worker pool — replays
+labels from the ``synth`` kind of a shared
+:class:`repro.store.ArtifactStore` instead of re-synthesizing.
 
-The store itself is :class:`repro.store.ArtifactStore` (memory LRU +
-optional persistent backend); this module only adds the synthesis key
-schema and SynthesisResult (de)hydration.  ``repro.runtime`` is
-imported lazily inside functions: the import chain runtime -> core ->
-synth would otherwise turn a module-level import into a cycle.
+``repro.runtime`` is imported lazily inside the function: the import
+chain runtime -> core -> synth would otherwise turn a module-level
+import into a cycle.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from ..store import ArtifactStore, DirectoryBackend
 from ..store.keys import synth_key
-from .synthesizer import SynthesisResult
 
-__all__ = ["SynthesisCache", "synthesis_cache_key"]
+__all__ = ["synthesis_cache_key"]
 
 
 def synthesis_cache_key(graph, library, effort: str,
@@ -35,87 +29,3 @@ def synthesis_cache_key(graph, library, effort: str,
 
     return synth_key(fingerprint_graph(graph), fingerprint_library(library),
                      effort, fingerprint_activity(activity))
-
-
-class SynthesisCache:
-    """Store mapping (graph, library, effort, activity) to labels.
-
-    Parameters
-    ----------
-    max_entries:
-        In-memory LRU capacity (ignored when ``store`` is shared).
-    disk_dir:
-        Optional persistent tier in the legacy flat layout — this is
-        what lets ``build_design_dataset`` workers and later rebuilds
-        reuse each other's synthesis runs.
-    store:
-        Optional shared :class:`ArtifactStore` to adapt instead of
-        owning a private one.
-    """
-
-    KIND = "synth"
-
-    def __init__(self, max_entries: int = 4096,
-                 disk_dir: str | Path | None = None,
-                 store: ArtifactStore | None = None):
-        if store is None:
-            backend = (DirectoryBackend(disk_dir, flat=True)
-                       if disk_dir is not None else None)
-            store = ArtifactStore(max_entries=max_entries, backend=backend)
-        self.store = store
-
-    @property
-    def stats(self):
-        """Hit/miss counters (``repro.runtime.cache.CacheStats``)."""
-        from ..runtime.cache import CacheStats
-
-        c = self.store.counters((self.KIND,))
-        return CacheStats(memory_hits=c["memory_hits"] + c["object_hits"],
-                          disk_hits=c["persistent_hits"],
-                          misses=c["misses"])
-
-    def __len__(self) -> int:
-        return self.store.memory_len(self.KIND)
-
-    # ------------------------------------------------------------------ #
-    def get(self, graph, library, effort: str,
-            activity: dict[int, float] | None = None) -> SynthesisResult | None:
-        """Return the cached result for this configuration, or ``None``.
-
-        The graph fingerprint excludes the design *name*, so structurally
-        identical designs share one entry; the returned result is
-        re-stamped with the querying graph's name.
-        """
-        value = self.store.get(self.KIND,
-                               synthesis_cache_key(graph, library, effort,
-                                                   activity))
-        if value is None:
-            return None
-        return SynthesisResult(
-            design=graph.name,
-            timing_ps=value["timing_ps"],
-            area_um2=value["area_um2"],
-            power_mw=value["power_mw"],
-            num_cells=value["num_cells"],
-            gate_count=value["gate_count"],
-            runtime_s=value["runtime_s"],
-        )
-
-    def put(self, graph, library, effort: str, result: SynthesisResult,
-            activity: dict[int, float] | None = None) -> None:
-        """Store one synthesis outcome (``runtime_s`` keeps the original
-        synthesis cost, so cached replays still report what a fresh run
-        would have paid)."""
-        self.store.put(
-            self.KIND,
-            synthesis_cache_key(graph, library, effort, activity),
-            {
-                "design": result.design,
-                "timing_ps": result.timing_ps,
-                "area_um2": result.area_um2,
-                "power_mw": result.power_mw,
-                "num_cells": result.num_cells,
-                "gate_count": result.gate_count,
-                "runtime_s": result.runtime_s,
-            },
-        )

@@ -1,10 +1,12 @@
-"""Thread-safety of the cache disk tiers under concurrent serve workers.
+"""Thread-safety of the artifact store's directory tier under concurrent
+serve workers.
 
 The serving tier points many worker threads (and, for datagen, many
-processes) at one cache directory.  These tests hammer the shared
-tiers — :class:`repro.runtime.PredictionCache` and the
-:class:`FrontendCache` / :class:`SynthesisCache` built on it — and pin
-the two properties that make that safe:
+processes) at one ``--cache-dir``.  These tests hammer one
+:class:`repro.store.ArtifactStore` on a :class:`DirectoryBackend` — its
+``prediction`` kind, the ``graph``/``paths`` kinds through
+:class:`FrontendCache`, and the ``synth`` kind in the dataset builder's
+payload format — and pin the two properties that make that safe:
 
 - **atomic publish**: every read returns either a miss or one writer's
   complete payload, never torn JSON, even with many threads writing the
@@ -14,13 +16,20 @@ the two properties that make that safe:
   is healed by the next put.
 """
 
+import dataclasses
 import json
 import threading
 
 from repro.designs import standard_designs
-from repro.runtime import FrontendCache, PredictionCache
+from repro.runtime import FrontendCache
 from repro.runtime.frontend import fingerprint_frontend_module
-from repro.synth import SynthesisCache, Synthesizer
+from repro.runtime.parallel import _synthesize_one_entry
+from repro.store import ArtifactStore, DirectoryBackend
+from repro.synth import SynthesisResult, Synthesizer, synthesis_cache_key
+
+
+def dir_store(root, **kwargs):
+    return ArtifactStore(backend=DirectoryBackend(root), **kwargs)
 
 
 def _hammer(num_threads, fn):
@@ -45,28 +54,28 @@ def _hammer(num_threads, fn):
         raise errors[0]
 
 
-class TestPredictionCacheConcurrency:
+class TestPredictionKindConcurrency:
     def test_same_key_many_writers(self, tmp_path):
         """Concurrent writers of one key publish atomically."""
-        cache = PredictionCache(disk_dir=tmp_path)
+        store = dir_store(tmp_path)
         payload = {"timing_ps": 1.5, "blob": "x" * 4096}
 
         def work(i):
             for round_ in range(40):
-                cache.put("sharedkey", payload)
-                got = cache.get("sharedkey")
+                store.put("prediction", "sharedkey", payload)
+                got = store.get("prediction", "sharedkey")
                 assert got == payload
 
         _hammer(8, work)
         # Exactly one published file, no leaked temp staging files.
         files = list(tmp_path.rglob("*"))
         assert [p.name for p in files if p.suffix == ".tmp"] == []
-        assert json.loads((tmp_path / "sh" / "sharedkey.json").read_text()) \
-            == payload
+        assert json.loads((tmp_path / "prediction" / "sh"
+                           / "sharedkey.json").read_text()) == payload
 
     def test_distinct_keys_cross_readers(self, tmp_path):
         """Each thread writes its keys while reading everyone else's."""
-        cache = PredictionCache(max_entries=8, disk_dir=tmp_path)
+        store = dir_store(tmp_path, max_entries=8)
 
         def payload_for(key):
             return {"key": key, "pad": key * 50}
@@ -74,51 +83,51 @@ class TestPredictionCacheConcurrency:
         def work(i):
             for round_ in range(30):
                 mine = f"key-{i}-{round_}"
-                cache.put(mine, payload_for(mine))
+                store.put("prediction", mine, payload_for(mine))
                 for j in range(8):
                     other = f"key-{j}-{round_}"
-                    got = cache.get(other)
+                    got = store.get("prediction", other)
                     assert got is None or got == payload_for(other)
 
         _hammer(8, work)
-        stats = cache.stats.as_dict()
-        assert stats["memory_hits"] + stats["disk_hits"] > 0
+        stats = store.counters(("prediction",))
+        assert stats["memory_hits"] + stats["persistent_hits"] > 0
 
     def test_two_processes_one_dir(self, tmp_path):
-        """A second cache instance on the same dir sees published entries."""
-        writer = PredictionCache(disk_dir=tmp_path)
-        reader = PredictionCache(disk_dir=tmp_path)
+        """A second store instance on the same dir sees published entries."""
+        writer = dir_store(tmp_path)
+        reader = dir_store(tmp_path)
 
         def work(i):
             for round_ in range(25):
                 key = f"xk{i}-{round_}"
-                writer.put(key, {"v": key})
-                assert reader.get(key) == {"v": key}
+                writer.put("prediction", key, {"v": key})
+                assert reader.get("prediction", key) == {"v": key}
 
         _hammer(6, work)
 
     def test_partial_entry_reads_as_miss_and_heals(self, tmp_path):
         """Torn/garbage disk entries tolerate: miss, then heal on put."""
-        cache = PredictionCache(disk_dir=tmp_path)
-        cache.put("goodkey", {"v": 1})
-        path = tmp_path / "go" / "goodkey.json"
+        store = dir_store(tmp_path)
+        store.put("prediction", "goodkey", {"v": 1})
+        path = tmp_path / "prediction" / "go" / "goodkey.json"
         assert path.is_file()
 
-        fresh = PredictionCache(disk_dir=tmp_path)     # no memory tier copy
+        fresh = dir_store(tmp_path)                    # no memory tier copy
         path.write_text('{"v": 1')                     # torn mid-write
-        assert fresh.get("goodkey") is None
-        assert fresh.stats.misses == 1
-        fresh.put("goodkey", {"v": 2})
-        assert PredictionCache(disk_dir=tmp_path).get("goodkey") == {"v": 2}
+        assert fresh.get("prediction", "goodkey") is None
+        assert fresh.counters(("prediction",))["misses"] == 1
+        fresh.put("prediction", "goodkey", {"v": 2})
+        assert dir_store(tmp_path).get("prediction", "goodkey") == {"v": 2}
 
     def test_clear_removes_staging_leftovers(self, tmp_path):
-        cache = PredictionCache(disk_dir=tmp_path)
-        cache.put("somekey", {"v": 1})
-        leftover = tmp_path / "so" / ".crashed.1234.0.tmp"
+        store = dir_store(tmp_path)
+        store.put("prediction", "somekey", {"v": 1})
+        leftover = tmp_path / "prediction" / "so" / ".crashed.1234.0.tmp"
         leftover.write_text("{partial")
-        cache.clear(memory_only=False)
+        store.clear(memory_only=False)
         assert not leftover.exists()
-        assert cache.get("somekey") is None
+        assert store.get("prediction", "somekey") is None
 
 
 class TestFrontendCacheConcurrency:
@@ -129,7 +138,7 @@ class TestFrontendCacheConcurrency:
         compiled = {e.name: e.module.elaborate_compiled() for e in entries}
         keys = {name: fingerprint_frontend_module(entries[i].module)
                 for i, name in enumerate(compiled)}
-        cache = FrontendCache(disk_dir=tmp_path)
+        cache = FrontendCache(dir_store(tmp_path))
 
         def work(i):
             for round_ in range(15):
@@ -151,7 +160,7 @@ class TestFrontendCacheConcurrency:
         cg = entry.module.elaborate_compiled()
         sampler = PathSampler(k=5, max_paths=20, seed=0)
         expected = sampler.sample(cg)
-        cache = FrontendCache(disk_dir=tmp_path)
+        cache = FrontendCache(dir_store(tmp_path))
 
         def work(i):
             for _ in range(10):
@@ -160,23 +169,28 @@ class TestFrontendCacheConcurrency:
         _hammer(8, work)
 
 
-class TestSynthesisCacheConcurrency:
+class TestSynthKindConcurrency:
     def test_label_tier_hammer(self, tmp_path):
         entry = next(e for e in standard_designs() if e.name == "gpio16")
         graph = entry.module.elaborate()
         synth = Synthesizer(effort="low")
-        library = synth.library
         result = synth.synthesize(graph)
-        cache = SynthesisCache(disk_dir=tmp_path)
+        key = synthesis_cache_key(graph, synth.library, "low")
+        store = dir_store(tmp_path)
 
         def work(i):
             for _ in range(20):
-                cache.put(graph, library, "low", result)
-                got = cache.get(graph, library, "low")
+                store.put("synth", key, dataclasses.asdict(result))
+                got = store.get("synth", key)
                 if got is not None:
+                    got = SynthesisResult(**got)
                     assert got.timing_ps == result.timing_ps
                     assert got.area_um2 == result.area_um2
                     assert got.power_mw == result.power_mw
 
         _hammer(8, work)
-        assert cache.get(graph, library, "low").timing_ps == result.timing_ps
+        # The dataset builder's worker replays the hammered entry.
+        record, _, hit = _synthesize_one_entry(
+            (entry, synth, None, tmp_path))
+        assert hit is True
+        assert record.timing_ps == result.timing_ps

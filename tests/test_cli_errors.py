@@ -6,8 +6,10 @@ front end knows it) instead of a traceback, for a missing or unreadable
 file and for Verilog that fails to preprocess, parse or elaborate.
 ``serve`` and ``dse`` do the same for their model file, ``export`` for
 an unknown design name, ``train``/``datagen``/``export`` for an output
-directory that does not exist (before any work), and ``cache stats|gc``
-for a store path that does not exist (without creating it).
+directory that does not exist (before any work), ``cache stats|gc``
+for a store path that does not exist (without creating it), and
+``predict``/``compile``/``datagen``/``serve`` for a ``--cache-dir`` no
+store can live at (before any work or bind).
 """
 
 import os
@@ -140,3 +142,35 @@ def test_subprocess_other_verbs(verb, tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert str(path) in proc.stderr
+
+
+CACHE_VERBS = {
+    "predict": ["predict", "model.npz", "mac.v"],
+    "compile": ["compile", "mac.v"],
+    "datagen": ["datagen"],
+    "serve": ["serve", "model.npz"],
+}
+
+
+@pytest.mark.parametrize("case", ["not-sqlite", "under-file"])
+@pytest.mark.parametrize("verb", list(CACHE_VERBS))
+def test_unusable_cache_dir(verb, case, tmp_path, capsys, monkeypatch):
+    import repro.cli
+    import repro.datagen
+    import repro.serve
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before --cache-dir was checked")
+
+    monkeypatch.setattr(repro.cli, "_read_source", no_work)
+    monkeypatch.setattr(repro.datagen, "build_design_dataset_profiled", no_work)
+    monkeypatch.setattr(repro.serve, "PredictionServer", no_work)
+    notes = tmp_path / "notes.txt"
+    notes.write_text("not a database\n")
+    path, expected = ((notes, "not a directory or a SQLite database")
+                      if case == "not-sqlite"
+                      else (notes / "cache", f"{notes} is not a directory"))
+    args = [str(tmp_path / a) if a.endswith((".npz", ".v")) else a
+            for a in CACHE_VERBS[verb]]
+    assert main([*args, "--cache-dir", str(path)]) == 2
+    assert_one_error_line(capsys.readouterr().err, path, expected)

@@ -1,5 +1,7 @@
 """Tests for SNS model persistence and the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from repro.core import (
     load_sns,
     save_sns,
 )
-from repro.datagen import build_design_dataset
+from repro.datagen import build_design_dataset, build_design_dataset_profiled
 from repro.designs import standard_designs
+from repro.store import open_backend
 from repro.synth import Synthesizer
 
 TINY_CF = CircuitformerConfig(embedding_size=16, dim_feedforward=32, max_input_size=64)
@@ -118,6 +121,88 @@ class TestCLI:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+@pytest.fixture(scope="module")
+def model_path(tiny_sns, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.npz"
+    save_sns(tiny_sns[0], path)
+    return str(path)
+
+
+def store_kinds(path, capsys) -> dict[str, int]:
+    """Entries per kind, as ``repro cache stats PATH --json`` lists them."""
+    capsys.readouterr()
+    assert main(["cache", "stats", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    return {kind: row["entries"] for kind, row in doc["kinds"].items()}
+
+
+class TestOneStore:
+    """Every ``--cache-dir`` opens the same store, so the verbs, the
+    dataset builder and the serve registry see each other's entries."""
+
+    @pytest.fixture()
+    def design(self, tmp_path):
+        path = tmp_path / "mac.v"
+        path.write_text(MAC_V)
+        return str(path)
+
+    def test_predict_twice_into_a_sqlite_store(self, model_path, design,
+                                               tmp_path, capsys):
+        store = tmp_path / "shared.sqlite"
+        open_backend(store).close()      # as a serve worker creates it
+        for expected in ("0 disk hits", "1 disk hits"):
+            assert main(["predict", model_path, design,
+                         "--cache-dir", str(store)]) == 0
+            assert expected in capsys.readouterr().out
+        assert store.is_file()
+
+    def test_cache_stats_and_gc_see_predict_and_compile(
+            self, model_path, design, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["predict", model_path, design,
+                     "--cache-dir", str(store)]) == 0
+        assert store_kinds(store, capsys) == {"prediction": 1}
+        assert main(["compile", design, "--cache-dir", str(store)]) == 0
+        assert store_kinds(store, capsys) == {"prediction": 1, "graph": 1}
+        assert main(["cache", "gc", str(store), "--max-bytes", "0"]) == 0
+        assert "deleted: 2 entries" in capsys.readouterr().out
+        assert store_kinds(store, capsys) == {}
+
+    def test_dataset_labels_share_the_predict_store(
+            self, model_path, design, tmp_path, capsys, monkeypatch):
+        from repro.runtime import parallel
+
+        store = str(tmp_path / "shared.sqlite")
+        assert main(["predict", model_path, design, "--cache-dir", store]) == 0
+        entries = [e for e in standard_designs()
+                   if e.name in ("gpio16", "piecewise8")]
+        synth = Synthesizer(effort="low")
+        cold = build_design_dataset(entries, synth, cache_dir=store)
+        assert store_kinds(store, capsys) == {"prediction": 1, "synth": 2}
+        # Read the file back, not this process's in-memory copy.
+        monkeypatch.setattr(parallel, "_SYNTH_CACHES", {})
+        warm, profile = build_design_dataset_profiled(entries, synth,
+                                                      cache_dir=store)
+        assert (profile.cache_hits, profile.cache_misses) == (2, 0)
+        assert [r.labels.tolist() for r in warm] == \
+            [r.labels.tolist() for r in cold]
+
+    def test_serve_registry_sees_predict_entries(self, model_path, design,
+                                                 tmp_path):
+        from repro.serve import ModelRegistry
+        from repro.verilog import elaborate_source
+
+        store = tmp_path / "store"
+        assert main(["predict", model_path, design,
+                     "--cache-dir", str(store)]) == 0
+        registry = ModelRegistry(cache_dir=str(store))
+        assert len(registry.store.keys("prediction")) == 1
+        served = registry.load(model_path)
+        served.predictor.predict_batch([elaborate_source(MAC_V)])
+        counters = registry.store.counters(("prediction",))
+        assert (counters["persistent_hits"], counters["misses"]) == (1, 0)
 
 
 class TestCLIReportExport:

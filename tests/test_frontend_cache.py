@@ -9,6 +9,11 @@ from repro.runtime import (FrontendCache, compile_design, compile_module,
                            compile_source, compile_source_profiled,
                            fingerprint_frontend_module,
                            fingerprint_frontend_source)
+from repro.store import ArtifactStore, DirectoryBackend
+
+
+def dir_cache(root):
+    return FrontendCache(ArtifactStore(backend=DirectoryBackend(root)))
 
 SRC = """
 module mac (input [7:0] a, input [7:0] b, output [15:0] out);
@@ -30,7 +35,7 @@ class TestSourceCache:
         assert isinstance(cg1, CompiledGraph)
         cg2 = compile_source(SRC, cache=cache)
         assert cg2 is cg1  # object-tier hit, no rebuild
-        assert cache.stats["object_hits"] == 1
+        assert cache.store.counters(("graph",))["object_hits"] == 1
 
     def test_different_source_misses(self):
         cache = FrontendCache()
@@ -39,11 +44,11 @@ class TestSourceCache:
         assert cg1.fingerprint() != cg2.fingerprint()
 
     def test_disk_tier_survives_new_cache(self, tmp_path):
-        cold = FrontendCache(disk_dir=tmp_path)
+        cold = dir_cache(tmp_path)
         cg1 = compile_source(SRC, cache=cold)
-        warm = FrontendCache(disk_dir=tmp_path)
+        warm = dir_cache(tmp_path)
         cg2 = compile_source(SRC, cache=warm)
-        assert warm.stats["disk_hits"] == 1
+        assert warm.store.counters(("graph",))["persistent_hits"] == 1
         assert cg2.fingerprint() == cg1.fingerprint()
         assert cg2.labels == cg1.labels
 
@@ -131,7 +136,7 @@ class TestPathReplay:
     def test_replayed_paths_equal_fresh_sample(self, tmp_path):
         entry = standard_designs()[0]
         sampler = PathSampler(k=3, seed=11)
-        cache = FrontendCache(disk_dir=tmp_path)
+        cache = dir_cache(tmp_path)
         cg = compile_module(entry.module, cache=cache)
         first = cache.sample(cg, sampler)
         fresh = sampler.sample(cg)
@@ -139,7 +144,7 @@ class TestPathReplay:
             == [(p.node_ids, p.tokens) for p in fresh]
         # Replay from a cold cache (disk tier): tokens are rebuilt from
         # the compiled graph, node ids from the stored lists.
-        warm = FrontendCache(disk_dir=tmp_path)
+        warm = dir_cache(tmp_path)
         replayed = warm.get_paths(cg, sampler)
         assert replayed is not None
         assert [(p.node_ids, p.tokens) for p in replayed] \

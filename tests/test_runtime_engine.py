@@ -1,28 +1,25 @@
 """Tests for the batched, cached inference runtime (``repro.runtime``).
 
-Covers the three pillars of the engine: batch-composition-invariant
-prediction (engine output bit-identical to serial ``SNS.predict``),
-content-addressed caching (hits on repeats, automatic invalidation on
-weight/sampler/activity changes), and parallel path-dataset generation
-(bit-identical to the serial builder).
+Covers the two pillars of the engine: batch-composition-invariant
+prediction (engine output bit-identical to serial ``SNS.predict``) and
+content-addressed caching in the store's ``prediction`` kind (hits on
+repeats, automatic invalidation on weight/sampler/activity changes).
 """
 
 import numpy as np
 import pytest
 
 from repro.core import SNS, CircuitformerConfig, PathSampler, TrainingConfig
-from repro.datagen import build_design_dataset, sample_path_dataset
+from repro.datagen import build_design_dataset
 from repro.designs import standard_designs
 from repro.runtime import (
     BatchPredictor,
-    PredictionCache,
-    derive_design_seed,
     fingerprint_graph,
     fingerprint_model,
     fingerprint_sampler,
-    parallel_sample_path_dataset,
     resolve_activity_maps,
 )
+from repro.store import ArtifactStore, DirectoryBackend
 from repro.synth import Synthesizer
 
 TINY_CF = CircuitformerConfig(embedding_size=16, dim_feedforward=32, max_input_size=64)
@@ -105,8 +102,9 @@ class TestEngineEquivalence:
         sns, _ = tiny_sns
         engine = BatchPredictor(sns)
         preds = engine.predict_batch([graphs[0]] * 4)
-        assert engine.cache.stats.misses == 4  # four lookups, one compute
-        assert len(engine.cache) == 1
+        # four lookups, one compute
+        assert engine.store.counters(("prediction",))["misses"] == 4
+        assert engine.store.memory_len("prediction") == 1
         assert len({p.timing_ps for p in preds}) == 1
 
     def test_predict_many_routes_through_engine(self, tiny_sns, graphs):
@@ -120,7 +118,7 @@ class TestEngineEquivalence:
     def test_uncached_engine(self, tiny_sns, graphs):
         sns, _ = tiny_sns
         engine = BatchPredictor(sns, caching=False)
-        assert engine.cache is None
+        assert engine.store is None
         preds = engine.predict_batch(graphs[:2])
         assert preds[0].timing_ps == sns.predict(graphs[0]).timing_ps
 
@@ -141,10 +139,12 @@ class TestCache:
         sns, _ = tiny_sns
         engine = BatchPredictor(sns)
         first = engine.predict_batch(graphs)
-        assert engine.cache.stats.misses == len(graphs)
-        assert engine.cache.stats.hits == 0
+        stats = engine.store.counters(("prediction",))
+        assert stats["misses"] == len(graphs)
+        assert stats["memory_hits"] + stats["persistent_hits"] == 0
         second = engine.predict_batch(graphs)
-        assert engine.cache.stats.memory_hits == len(graphs)
+        assert engine.store.counters(("prediction",))["memory_hits"] \
+            == len(graphs)
         for a, b in zip(first, second):
             assert a.timing_ps == b.timing_ps
             assert a.area_um2 == b.area_um2
@@ -169,26 +169,27 @@ class TestCache:
 
     def test_miss_after_weight_mutation(self, tiny_sns, graphs):
         sns, _ = tiny_sns
-        cache = PredictionCache()
-        BatchPredictor(sns, cache=cache).predict_batch(graphs[:1])
+        store = ArtifactStore()
+        BatchPredictor(sns, store=store).predict_batch(graphs[:1])
         before = fingerprint_model(sns)
         param = sns.circuitformer.parameters()[0]
         original = param.data.copy()
         try:
             param.data = original + 1e-6
             assert fingerprint_model(sns) != before
-            engine = BatchPredictor(sns, cache=cache)
+            engine = BatchPredictor(sns, store=store)
             engine.predict_batch(graphs[:1])
-            assert engine.cache.stats.misses == 2  # 1 from warmup + 1 now
-            assert engine.cache.stats.hits == 0
+            stats = store.counters(("prediction",))
+            assert stats["misses"] == 2  # 1 from warmup + 1 now
+            assert stats["memory_hits"] + stats["persistent_hits"] == 0
         finally:
             param.data = original
         assert fingerprint_model(sns) == before
 
     def test_miss_after_sampler_config_change(self, tiny_sns, graphs):
         sns, _ = tiny_sns
-        cache = PredictionCache()
-        BatchPredictor(sns, cache=cache).predict_batch(graphs[:1])
+        store = ArtifactStore()
+        BatchPredictor(sns, store=store).predict_batch(graphs[:1])
         original = sns.sampler
         assert fingerprint_sampler(PathSampler(k=original.k + 1,
                                                max_paths=original.max_paths,
@@ -198,41 +199,44 @@ class TestCache:
             sns.sampler = PathSampler(k=original.k + 1,
                                       max_paths=original.max_paths,
                                       seed=original.seed)
-            engine = BatchPredictor(sns, cache=cache)
+            engine = BatchPredictor(sns, store=store)
             engine.predict_batch(graphs[:1])
-            assert engine.cache.stats.hits == 0
+            assert store.counters(("prediction",))["memory_hits"] == 0
         finally:
             sns.sampler = original
 
     def test_miss_after_activity_change(self, tiny_sns, graphs):
         sns, _ = tiny_sns
-        cache = PredictionCache()
-        engine = BatchPredictor(sns, cache=cache)
+        engine = BatchPredictor(sns)
         graph = graphs[0]
         engine.predict_batch([graph])
         activity = {nid: 0.001 for nid in graph.sequential_ids()}
         gated = engine.predict_batch([graph], activity_maps=[activity])
-        assert cache.stats.misses == 2
+        assert engine.store.counters(("prediction",))["misses"] == 2
         assert gated[0].power_mw <= engine.predict_batch([graph])[0].power_mw
 
     def test_disk_tier_survives_memory_clear(self, tiny_sns, graphs, tmp_path):
         sns, _ = tiny_sns
-        cache = PredictionCache(disk_dir=tmp_path / "cache")
-        engine = BatchPredictor(sns, cache=cache)
+        store = ArtifactStore(backend=DirectoryBackend(tmp_path / "cache"))
+        engine = BatchPredictor(sns, store=store)
         first = engine.predict_batch(graphs[:2])
-        cache.clear(memory_only=True)
-        assert len(cache) == 0
+        store.clear(memory_only=True)
+        assert store.memory_len("prediction") == 0
         second = engine.predict_batch(graphs[:2])
-        assert cache.stats.disk_hits == 2
+        assert store.counters(("prediction",))["persistent_hits"] == 2
         assert first[0].timing_ps == second[0].timing_ps
 
-    def test_lru_eviction(self):
-        cache = PredictionCache(max_entries=2)
-        cache.put("a", {"x": 1})
-        cache.put("b", {"x": 2})
-        cache.get("a")           # refresh a; b is now the LRU entry
-        cache.put("c", {"x": 3})
-        assert "a" in cache and "c" in cache and "b" not in cache
+    def test_lru_eviction(self, tiny_sns, graphs):
+        sns, _ = tiny_sns
+        engine = BatchPredictor(sns, store=ArtifactStore(max_entries=2))
+        a, b, c = graphs[:3]
+        engine.predict_batch([a, b])
+        engine.predict_batch([a])    # refresh a; b is now the LRU entry
+        engine.predict_batch([c])
+        engine.predict_batch([a, c])
+        assert engine.store.counters(("prediction",))["memory_hits"] == 3
+        engine.predict_batch([b])    # evicted: computed again
+        assert engine.store.counters(("prediction",))["misses"] == 4
 
     def test_graph_fingerprint_ignores_name(self, graphs):
         import copy
@@ -281,30 +285,3 @@ class TestActivityResolution:
         entry = {3: 0.2, 7: None}
         resolved = resolve_activity_maps(graphs[:2], [entry, None])
         assert resolved == [entry, None]
-
-
-class TestParallelDataset:
-    def test_matches_serial_builder(self, tiny_sns):
-        _, records = tiny_sns
-        synth = Synthesizer(effort="low")
-        sampler = PathSampler(k=3, max_paths=10, seed=1)
-        serial = sample_path_dataset(records, sampler, synth)
-        parallel = sample_path_dataset(records, sampler, synth, num_workers=2)
-        assert [r.tokens for r in serial] == [r.tokens for r in parallel]
-        assert [tuple(r.labels) for r in serial] == \
-            [tuple(r.labels) for r in parallel]
-
-    def test_per_design_seed_is_deterministic(self, tiny_sns):
-        _, records = tiny_sns
-        synth = Synthesizer(effort="low")
-        sampler = PathSampler(k=3, max_paths=10, seed=1)
-        a = parallel_sample_path_dataset(records, sampler, synth,
-                                         num_workers=2, per_design_seed=True)
-        b = parallel_sample_path_dataset(records, sampler, synth,
-                                         num_workers=2, per_design_seed=True)
-        assert [r.tokens for r in a] == [r.tokens for r in b]
-
-    def test_derive_design_seed_spread(self):
-        seeds = {derive_design_seed(0, name) for name in DESIGN_NAMES}
-        assert len(seeds) == len(DESIGN_NAMES)
-        assert all(0 <= s < 2**31 for s in seeds)

@@ -11,7 +11,7 @@ The serving contract under test:
 - ``/predict`` responses are **bit-identical** to direct ``SNS.predict``
   (the engine's batch-composition invariance, carried over HTTP);
 - identical concurrent requests **single-flight** into one computation
-  and one PredictionCache round trip;
+  and one write of the store's ``prediction`` kind;
 - overload answers **429** (token bucket) and **503** (bounded queue)
   and **504** (deadline) instead of collapsing, and ``/metrics``
   reports every rejection.
@@ -167,8 +167,8 @@ class TestPredictParity:
 
 class TestSingleFlight:
     def test_identical_concurrent_requests_compute_once(self, tiny_sns):
-        """Satellite regression: N identical in-flight requests share one
-        computation and exactly one PredictionCache store."""
+        """N identical in-flight requests share one computation and
+        exactly one write of the store's ``prediction`` kind."""
         sns, _ = tiny_sns
         server, thread = serve(sns, max_wait_ms=1.0)
         served = server.registry.get("default")
@@ -186,10 +186,7 @@ class TestSingleFlight:
 
         engine.predict_batch = slow_predict
 
-        puts = []
-        real_put = served.prediction_cache.put
-        served.prediction_cache.put = \
-            lambda key, value: (puts.append(key), real_put(key, value))[1]
+        puts_before = served.store.counters(("prediction",))["puts"]
 
         with thread as handle:
             results = []
@@ -218,7 +215,8 @@ class TestSingleFlight:
         docs = [doc for _, doc in results]
         assert all(doc == docs[0] for doc in docs)       # shared result
         assert compute_calls == [1]                      # one computation
-        assert len(puts) == 1                            # one cache store
+        assert served.store.counters(("prediction",))["puts"] \
+            == puts_before + 1                           # one cache store
         assert metrics["single_flight_hits"] == 5
 
     def test_repeat_after_completion_is_a_cache_hit(self, tiny_sns):
@@ -228,11 +226,12 @@ class TestSingleFlight:
         with thread as handle:
             client = ServeClient("127.0.0.1", handle.port)
             first = client.post("/predict", {"design": "conv3x3"})
-            hits_before = served.prediction_cache.stats.hits
+            hits_before = served.store.counters(("prediction",))["memory_hits"]
             second = client.post("/predict", {"design": "conv3x3"})
             client.close()
         assert first == second
-        assert served.prediction_cache.stats.hits > hits_before
+        assert served.store.counters(("prediction",))["memory_hits"] \
+            > hits_before
 
 
 class TestAdmission:

@@ -1,11 +1,10 @@
 """Unit tests for the unified content-addressed artifact store.
 
-Covers the pieces ``repro.store`` promises independently of the cache
-adapters built on it: backend parity (directory and SQLite behind one
-interface), write-once semantics, corruption tolerance with put-side
-healing, the three-tier lookup path with per-kind/per-tier stats, lazy
-payload encoding, single-flight computation dedup, legacy flat-layout
-compatibility with PR 1-9 cache directories, gc sweeps, and the
+Covers the pieces ``repro.store`` promises independently of its
+callers: backend parity (directory and SQLite behind one interface),
+write-once semantics, corruption tolerance with put-side healing, the
+three-tier lookup path with per-kind/per-tier stats, lazy payload
+encoding, single-flight computation dedup, gc sweeps, and the
 trained-model registry round trip.
 """
 
@@ -136,25 +135,6 @@ class TestCorruptionTolerance:
         assert backend.get("synth", KEY_A) is None
         assert backend.get_many("synth", [KEY_A, KEY_B]) == {}
         assert list(backend.entries()) == []
-
-
-class TestLegacyFlatLayout:
-    def test_reads_pr9_style_directory(self, tmp_path):
-        # Hand-write the exact layout the PR 1-9 caches produced:
-        # root/<key[:2]>/<key>.json with no kind level.
-        (tmp_path / KEY_A[:2]).mkdir()
-        (tmp_path / KEY_A[:2] / f"{KEY_A}.json").write_text(
-            json.dumps({"timing_ps": 123.0}))
-        backend = DirectoryBackend(tmp_path, flat=True)
-        assert backend.get("prediction", KEY_A) == {"timing_ps": 123.0}
-        [entry] = backend.entries()
-        assert (entry.kind, entry.key) == ("", KEY_A)
-
-    def test_writes_pr9_style_directory(self, tmp_path):
-        backend = DirectoryBackend(tmp_path, flat=True)
-        backend.put("prediction", KEY_A, {"v": 1})
-        assert json.loads(
-            (tmp_path / KEY_A[:2] / f"{KEY_A}.json").read_text()) == {"v": 1}
 
 
 class TestOpenBackend:

@@ -15,7 +15,9 @@ from repro.datagen import (build_design_dataset, build_design_dataset_profiled,
                            sample_path_dataset)
 from repro.designs import standard_designs
 from repro.graphir import CircuitGraph, Vocabulary
-from repro.synth import (FREEPDK15, MappedNetlist, SynthesisCache, Synthesizer,
+from repro.runtime.parallel import _synthesize_one_entry
+from repro.store import ArtifactStore, DirectoryBackend
+from repro.synth import (FREEPDK15, MappedNetlist, SynthesisResult, Synthesizer,
                          array_sta, static_timing_analysis,
                          synthesis_cache_key)
 from repro.synth.engine import synthesize_path_batch
@@ -228,21 +230,27 @@ def small_entries(limit=5):
 
 
 def test_synthesis_cache_round_trip(tmp_path):
+    """Labels round-trip through the store's ``synth`` kind: a miss
+    synthesizes and writes, a repeat replays, and a fresh store on the
+    same directory decodes the payload back into the same result."""
     entries = small_entries(3)
     synth = Synthesizer(effort="low")
-    cache = SynthesisCache(disk_dir=tmp_path / "synth")
+    cache_dir = tmp_path / "synth"
     for entry in entries:
-        graph = entry.module.elaborate()
-        assert cache.get(graph, synth.library, synth.effort) is None
-        result = synth.synthesize(graph)
-        cache.put(graph, synth.library, synth.effort, result)
-        hit = cache.get(graph, synth.library, synth.effort)
-        assert_results_equal(result, hit)
-    # A fresh cache instance on the same directory serves disk hits.
-    fresh = SynthesisCache(disk_dir=tmp_path / "synth")
+        result = synth.synthesize(entry.module.elaborate())
+        for expect_hit in (False, True):
+            record, _, hit = _synthesize_one_entry(
+                (entry, synth, None, cache_dir))
+            assert hit is expect_hit
+            assert (record.timing_ps, record.area_um2, record.power_mw) == \
+                (result.timing_ps, result.area_um2, result.power_mw)
+    # A fresh store on the same directory serves persistent hits.
+    fresh = ArtifactStore(backend=DirectoryBackend(cache_dir))
     graph = entries[0].module.elaborate()
-    assert fresh.get(graph, synth.library, synth.effort) is not None
-    assert fresh.stats.disk_hits == 1
+    payload = fresh.get("synth", synthesis_cache_key(graph, synth.library,
+                                                     synth.effort))
+    assert_results_equal(synth.synthesize(graph), SynthesisResult(**payload))
+    assert fresh.counters(("synth",))["persistent_hits"] == 1
 
 
 def test_synthesis_cache_key_sensitivity():
