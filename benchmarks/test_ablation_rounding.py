@@ -19,9 +19,8 @@ def test_ablation_width_rounding(benchmark):
         unrounded = Counter()
         for entry in standard_designs():
             graph = entry.module.elaborate()
-            for node in graph.nodes():
-                rounded[node.token] += 1
-                unrounded[(node.node_type, node.width)] += 1
+            rounded.update(graph.token_list)
+            unrounded.update(zip(graph.type_names, graph.widths.tolist()))
         return rounded, unrounded
 
     rounded, unrounded = run_once(benchmark, measure)

@@ -4,9 +4,11 @@ Three pipelines over the full standard registry, compared in
 designs/sec with exact path/stats equality asserted before any speed
 claim:
 
-- **reference** — dict-graph ``Module.elaborate()``, reference-engine
-  path sampling, per-node statistics loops;
-- **compiled (cold)** — flat ``GraphBuilder`` elaboration, CSR array
+- **reference** — the test suite's dict-graph oracle
+  (``tests/oracles/graph.py``): each elaborated design rebuilt as a
+  dict-of-lists graph, sampled by the per-node DFS walk, and summarized
+  by per-node statistics loops;
+- **compiled (cold)** — ``GraphBuilder`` elaboration, CSR array
   sampling, vectorized statistics, results stored into a
   :class:`repro.runtime.FrontendCache`;
 - **compiled (warm)** — the same designs replayed entirely from the
@@ -19,6 +21,7 @@ trajectory is tracked in-tree.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -26,13 +29,18 @@ import numpy as np
 
 from repro.core.sampler import PathSampler
 from repro.designs import standard_designs
-from repro.graphir import (Vocabulary, stats_vector, structural_features,
-                           weighted_features)
+from repro.graphir import Vocabulary
 from repro.runtime import FrontendCache, compile_module
 
 from conftest import run_once
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_frontend.json"
+ROOT = Path(__file__).resolve().parent.parent
+# ``pytest benchmarks/...`` puts only this directory on sys.path; the
+# reference pipeline lives with the test suite's oracles.
+sys.path.insert(0, str(ROOT))
+from tests.oracles import graph as oracle  # noqa: E402
+
+BENCH_JSON = ROOT / "BENCH_frontend.json"
 
 # Production defaults (k=5, max_len=64, max_paths=512) — the regime the
 # prediction pipeline actually runs in.
@@ -40,27 +48,29 @@ SAMPLER = dict(k=5, max_len=64, max_paths=512, seed=0)
 
 
 def _frontend_reference(entries, vocab):
-    """The pre-compiled pipeline: dict elaborate + reference sample + loops."""
-    sampler = PathSampler(engine="reference", **SAMPLER)
+    """The dict-graph pipeline: elaborate + dict rebuild + per-node walk
+    and statistics loops."""
+    sampler = PathSampler(**SAMPLER)
     out = []
     for e in entries:
-        graph = e.module.elaborate()
-        paths = sampler.sample(graph)
-        stats = (stats_vector(graph, vocab), structural_features(graph),
-                 weighted_features(graph))
+        graph = oracle.DictGraph(e.module.elaborate())
+        paths = oracle.sample_reference(sampler, graph)
+        stats = (oracle.stats_vector(graph, vocab),
+                 oracle.structural_features(graph),
+                 oracle.weighted_features(graph))
         out.append((paths, stats))
     return out
 
 
 def _frontend_compiled(entries, vocab, cache):
-    """The compiled pipeline: flat build + array sample + vectorized stats."""
-    sampler = PathSampler(engine="array", **SAMPLER)
+    """The compiled pipeline: build + array sample + vectorized stats."""
+    sampler = PathSampler(**SAMPLER)
     out = []
     for e in entries:
         cg = compile_module(e.module, cache=cache)
         paths = cache.sample(cg, sampler)
-        stats = (stats_vector(cg, vocab), structural_features(cg),
-                 weighted_features(cg))
+        stats = (cg.stats_vector(vocab), cg.structural_features(),
+                 cg.weighted_features())
         out.append((paths, stats))
     return out
 

@@ -12,7 +12,6 @@ Run:  python examples/verilog_to_prediction.py
 
 from repro.core import PathSampler
 from repro.experiments import format_table
-from repro.graphir import token_counts
 from repro.synth import Synthesizer
 from repro.verilog import elaborate_source
 
@@ -62,7 +61,7 @@ def main() -> None:
     graph = elaborate_source(FIR_FILTER)
     print(f"FIR filter GraphIR: {graph.num_nodes} vertices, "
           f"{graph.num_edges} edges")
-    counts = token_counts(graph)
+    counts = graph.token_counts()
     print("  token histogram:",
           ", ".join(f"{t}x{n}" for t, n in sorted(counts.items())))
 

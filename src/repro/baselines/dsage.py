@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
-from ..graphir import CircuitGraph, Vocabulary
-from .gnn_ops import global_max_pool, segment_mean_neighbors
+from ..graphir import CompiledGraph, Vocabulary
+from .gnn_ops import encode_graph, global_max_pool, segment_mean_neighbors
 
 __all__ = ["DSAGEConfig", "DSAGETimingModel"]
 
@@ -51,18 +51,6 @@ class DSAGETimingModel:
         self._fitted = False
 
     # ------------------------------------------------------------------ #
-    def _encode_graph(self, graph: CircuitGraph):
-        node_ids = graph.node_ids()
-        index = {nid: i for i, nid in enumerate(node_ids)}
-        tokens = np.array([self.vocab.id_of(graph.node(nid).token) for nid in node_ids])
-        edges = graph.edges()
-        if edges:
-            src = np.array([index[s] for s, _ in edges])
-            dst = np.array([index[d] for _, d in edges])
-        else:
-            src = dst = np.zeros(0, dtype=np.int64)
-        return tokens, src, dst, len(node_ids)
-
     def _forward_graph(self, tokens, src, dst, n) -> nn.Tensor:
         x = self.embed(tokens)
         for layer in self.layers:
@@ -73,7 +61,7 @@ class DSAGETimingModel:
         return self.head(pooled.reshape(1, -1)).reshape(1)
 
     # ------------------------------------------------------------------ #
-    def fit(self, graphs: list[CircuitGraph], timings_ps: np.ndarray,
+    def fit(self, graphs: list[CompiledGraph], timings_ps: np.ndarray,
             verbose: bool = False) -> "DSAGETimingModel":
         if len(graphs) < 2:
             raise ValueError("need at least 2 training graphs")
@@ -82,7 +70,7 @@ class DSAGETimingModel:
                   if g.num_nodes <= cfg.max_nodes]
         if len(usable) < 2:
             raise ValueError("too few graphs under the max_nodes budget")
-        encoded = [self._encode_graph(g) for g, _ in usable]
+        encoded = [encode_graph(g, self.vocab) for g, _ in usable]
         targets = np.log1p(np.array([t for _, t in usable]))
         self._scale_mean = float(targets.mean())
         self._scale_std = float(targets.std()) or 1.0
@@ -110,14 +98,14 @@ class DSAGETimingModel:
         self._fitted = True
         return self
 
-    def predict(self, graphs: list[CircuitGraph]) -> np.ndarray:
+    def predict(self, graphs: list[CompiledGraph]) -> np.ndarray:
         """Predicted timing (ps) per design."""
         if not self._fitted:
             raise RuntimeError("fit() must be called before predict()")
         out = []
         with nn.no_grad():
             for g in graphs:
-                tokens, src, dst, n = self._encode_graph(g)
+                tokens, src, dst, n = encode_graph(g, self.vocab)
                 norm = self._forward_graph(tokens, src, dst, n).numpy()[0]
                 out.append(np.expm1(norm * self._scale_std + self._scale_mean))
         return np.array(out).clip(min=0.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphir import CircuitGraph, Vocabulary, stats_vector, structural_features, weighted_features
+from ..graphir import CompiledGraph, Vocabulary
 
 __all__ = ["DecisionTreeRegressor", "RandomForestRegressor", "ForestDesignModel"]
 
@@ -162,21 +162,21 @@ class ForestDesignModel:
         self._forests = [RandomForestRegressor(n_trees=n_trees, seed=seed + i)
                          for i in range(3)]
 
-    def featurize(self, graph: CircuitGraph) -> np.ndarray:
+    def featurize(self, graph: CompiledGraph) -> np.ndarray:
         return np.log1p(np.concatenate([
-            stats_vector(graph, self.vocab),
-            structural_features(graph),
-            weighted_features(graph),
+            graph.stats_vector(self.vocab),
+            graph.structural_features(),
+            graph.weighted_features(),
         ]))
 
-    def fit(self, graphs: list[CircuitGraph], labels: np.ndarray) -> "ForestDesignModel":
+    def fit(self, graphs: list[CompiledGraph], labels: np.ndarray) -> "ForestDesignModel":
         X = np.stack([self.featurize(g) for g in graphs])
         logs = np.log1p(np.asarray(labels, dtype=np.float64))
         for i, forest in enumerate(self._forests):
             forest.fit(X, logs[:, i])
         return self
 
-    def predict(self, graphs: list[CircuitGraph]) -> np.ndarray:
+    def predict(self, graphs: list[CompiledGraph]) -> np.ndarray:
         X = np.stack([self.featurize(g) for g in graphs])
         out = np.stack([forest.predict(X) for forest in self._forests], axis=1)
         return np.expm1(out).clip(min=0.0)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
-from ..graphir import CircuitGraph, Vocabulary
-from .gnn_ops import global_mean_pool, segment_mean_neighbors
+from ..graphir import CompiledGraph, Vocabulary
+from .gnn_ops import encode_graph, global_mean_pool, segment_mean_neighbors
 
 __all__ = ["GCNConfig", "GCNPowerModel"]
 
@@ -49,18 +49,6 @@ class GCNPowerModel:
         self._fitted = False
 
     # ------------------------------------------------------------------ #
-    def _encode(self, graph: CircuitGraph):
-        ids = graph.node_ids()
-        index = {nid: i for i, nid in enumerate(ids)}
-        tokens = np.array([self.vocab.id_of(graph.node(nid).token) for nid in ids])
-        edges = graph.edges()
-        if edges:
-            src = np.array([index[s] for s, _ in edges])
-            dst = np.array([index[d] for _, d in edges])
-        else:
-            src = dst = np.zeros(0, dtype=np.int64)
-        return tokens, src, dst, len(ids)
-
     def _forward(self, tokens, src, dst, n) -> nn.Tensor:
         x = self.embed(tokens)
         for w_self, w_neigh in zip(self.self_layers, self.neigh_layers):
@@ -70,14 +58,14 @@ class GCNPowerModel:
         return self.head(pooled.reshape(1, -1)).reshape(1)
 
     # ------------------------------------------------------------------ #
-    def fit(self, graphs: list[CircuitGraph], powers_mw: np.ndarray,
+    def fit(self, graphs: list[CompiledGraph], powers_mw: np.ndarray,
             verbose: bool = False) -> "GCNPowerModel":
         cfg = self.config
         usable = [(g, p) for g, p in zip(graphs, powers_mw)
                   if g.num_nodes <= cfg.max_nodes]
         if len(usable) < 2:
             raise ValueError("need at least 2 training graphs under max_nodes")
-        encoded = [self._encode(g) for g, _ in usable]
+        encoded = [encode_graph(g, self.vocab) for g, _ in usable]
         targets = np.log1p(np.array([p for _, p in usable]))
         self._mean = float(targets.mean())
         self._std = float(targets.std()) or 1.0
@@ -104,13 +92,13 @@ class GCNPowerModel:
         self._fitted = True
         return self
 
-    def predict(self, graphs: list[CircuitGraph]) -> np.ndarray:
+    def predict(self, graphs: list[CompiledGraph]) -> np.ndarray:
         """Predicted power (mW) per design."""
         if not self._fitted:
             raise RuntimeError("fit() must be called before predict()")
         out = []
         with nn.no_grad():
             for g in graphs:
-                norm = self._forward(*self._encode(g)).numpy()[0]
+                norm = self._forward(*encode_graph(g, self.vocab)).numpy()[0]
                 out.append(np.expm1(norm * self._std + self._mean))
         return np.array(out).clip(min=0.0)

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graphir import CompiledGraph, Vocabulary
 from ..nn.tensor import Tensor
 
-__all__ = ["segment_mean_neighbors", "global_mean_pool", "global_max_pool"]
+__all__ = ["encode_graph", "segment_mean_neighbors", "global_mean_pool",
+           "global_max_pool"]
+
+
+def encode_graph(graph: CompiledGraph, vocab: Vocabulary):
+    """``(token ids, edge sources, edge destinations, node count)`` of a
+    graph for message passing; edges are source-major."""
+    tokens = np.array([vocab.id_of(t) for t in graph.token_list], np.int64)
+    src = np.repeat(np.arange(graph.num_nodes), np.diff(graph.succ_indptr))
+    return tokens, src, graph.succ_indices, graph.num_nodes
 
 
 def segment_mean_neighbors(x: Tensor, edge_src: np.ndarray, edge_dst: np.ndarray,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphir import CircuitGraph, Vocabulary, stats_vector, structural_features
+from ..graphir import CompiledGraph, Vocabulary
 
 __all__ = ["RidgeRegression", "PathCountLinearModel", "DesignStatsLinearModel"]
 
@@ -79,17 +79,17 @@ class DesignStatsLinearModel:
         self.vocab = vocab or Vocabulary.standard()
         self._model = RidgeRegression(alpha)
 
-    def featurize(self, graph: CircuitGraph) -> np.ndarray:
+    def featurize(self, graph: CompiledGraph) -> np.ndarray:
         return np.log1p(np.concatenate([
-            stats_vector(graph, self.vocab),
-            structural_features(graph),
+            graph.stats_vector(self.vocab),
+            graph.structural_features(),
         ]))
 
-    def fit(self, graphs: list[CircuitGraph], labels: np.ndarray) -> "DesignStatsLinearModel":
+    def fit(self, graphs: list[CompiledGraph], labels: np.ndarray) -> "DesignStatsLinearModel":
         X = np.stack([self.featurize(g) for g in graphs])
         self._model.fit(X, np.log1p(np.asarray(labels, dtype=np.float64)))
         return self
 
-    def predict(self, graphs: list[CircuitGraph]) -> np.ndarray:
+    def predict(self, graphs: list[CompiledGraph]) -> np.ndarray:
         X = np.stack([self.featurize(g) for g in graphs])
         return np.expm1(self._model.predict(X)).clip(min=0.0)

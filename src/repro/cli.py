@@ -74,6 +74,17 @@ def _open_input(path: str, load):
         raise CLIError(f"cannot read {path}: not UTF-8 text") from exc
 
 
+def _open_model(path: str, load=None):
+    """Load a saved model (``load_sns`` by default); a missing, unreadable
+    or corrupt file is a CLIError."""
+    from .core.persistence import ModelFileError, load_sns
+
+    try:
+        return _open_input(path, load or load_sns)
+    except ModelFileError as exc:
+        raise CLIError(str(exc)) from exc
+
+
 def _read_source(path: str) -> str:
     return _open_input(path, lambda p: Path(p).read_text())
 
@@ -205,13 +216,12 @@ def _print_prediction(pred) -> None:
 
 
 def _cmd_predict(args) -> int:
-    from .core.persistence import load_sns
     from .runtime import BatchPredictor
     from .store import ArtifactStore, open_backend
 
     _check_cache_dir(args.cache_dir)
     graphs = [_read_design(path) for path in args.designs]
-    sns = _open_input(args.model, load_sns)
+    sns = _open_model(args.model)
     store = ArtifactStore(
         backend=open_backend(args.cache_dir) if args.cache_dir else None)
     with closing(store):
@@ -232,9 +242,8 @@ def _cmd_dse(args) -> int:
     import json
 
     from .boom import BoomDSE, boom_grid, extended_grid
-    from .core.persistence import load_sns
 
-    sns = _open_input(args.model, load_sns)
+    sns = _open_model(args.model)
     grid = extended_grid() if args.space == "extended" else boom_grid()
     predict_budget = max(1, int(round(args.budget * args.fidelity)))
     dse = BoomDSE(predictor=sns)
@@ -290,7 +299,7 @@ def _cmd_serve(args) -> int:
         request_timeout_s=args.request_timeout, cache_dir=args.cache_dir,
         serialized=args.serialized, allow_train=not args.no_train)
     server = PredictionServer(config)
-    _open_input(args.model, lambda path: server.load_model(path, name="default"))
+    _open_model(args.model, lambda path: server.load_model(path, name="default"))
 
     async def main() -> None:
         await server.start()

@@ -15,7 +15,6 @@ from .aggregator import (
     DesignFeatures,
     featurize_design,
     reduce_paths,
-    design_features,
     path_statistics,
     FEATURE_DIM,
 )
@@ -35,7 +34,7 @@ __all__ = [
     "rrse", "maep",
     "Circuitformer", "CircuitformerConfig", "TargetScaler", "encode_batch",
     "AggregationMLP", "DesignFeatures", "featurize_design",
-    "reduce_paths", "design_features", "path_statistics", "FEATURE_DIM",
+    "reduce_paths", "path_statistics", "FEATURE_DIM",
     "PAPER_HYPERPARAMS", "TrainingConfig", "EpochStats",
     "train_circuitformer", "train_aggregator",
     "SNS", "SNSPrediction", "save_sns", "load_sns",

@@ -33,16 +33,13 @@ from .. import nn
 from ..graphir import (
     NUM_STRUCTURAL_FEATURES,
     NUM_WEIGHTED_FEATURES,
-    CircuitGraph,
+    CompiledGraph,
     Vocabulary,
-    stats_vector,
-    structural_features,
-    weighted_features,
 )
 from .sampler import SampledPath
 
 __all__ = ["reduce_paths", "path_statistics", "DesignFeatures", "featurize_design",
-           "AggregationMLP", "design_features", "FEATURE_DIM", "LOG_FEATURE_DIM"]
+           "AggregationMLP", "FEATURE_DIM", "LOG_FEATURE_DIM"]
 
 TARGETS = ("timing", "area", "power")
 
@@ -154,7 +151,7 @@ class DesignFeatures:
         ])
 
 
-def featurize_design(graph: CircuitGraph, path_preds: np.ndarray,
+def featurize_design(graph: CompiledGraph, path_preds: np.ndarray,
                      paths: list[SampledPath],
                      vocab: Vocabulary | None = None) -> DesignFeatures:
     """Build the aggregation features for one design."""
@@ -162,26 +159,10 @@ def featurize_design(graph: CircuitGraph, path_preds: np.ndarray,
     return DesignFeatures(
         reduction=reduce_paths(path_preds, paths),
         path_stats=path_statistics(path_preds, paths),
-        counts=stats_vector(graph, vocab),
-        structural=structural_features(graph),
-        weighted=weighted_features(graph),
+        counts=graph.stats_vector(vocab),
+        structural=graph.structural_features(),
+        weighted=graph.weighted_features(),
     )
-
-
-def design_features(graph: CircuitGraph, reduction: np.ndarray,
-                    vocab: Vocabulary | None = None,
-                    path_stats: np.ndarray | None = None) -> np.ndarray:
-    """Legacy flat featurization (kept for baselines and diagnostics)."""
-    vocab = vocab or Vocabulary.standard()
-    if path_stats is None:
-        path_stats = np.zeros(NUM_PATH_STATS)
-    return np.concatenate([
-        np.log1p(np.maximum(reduction, 0.0)),
-        np.log1p(np.maximum(path_stats, 0.0)),
-        np.log1p(stats_vector(graph, vocab)),
-        np.log1p(structural_features(graph)),
-        np.log1p(weighted_features(graph)),
-    ])
 
 
 # ---------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -18,9 +19,13 @@ from .circuitformer import Circuitformer, CircuitformerConfig, TargetScaler
 from .predictor import SNS
 from .sampler import PathSampler
 
-__all__ = ["save_sns", "load_sns"]
+__all__ = ["save_sns", "load_sns", "ModelFileError"]
 
 _FORMAT_VERSION = 1
+
+
+class ModelFileError(ValueError):
+    """A file that is not a loadable SNS archive; names the file and why."""
 
 
 def save_sns(sns: SNS, path: str | os.PathLike) -> None:
@@ -55,35 +60,59 @@ def save_sns(sns: SNS, path: str | os.PathLike) -> None:
 
 
 def load_sns(path: str | os.PathLike) -> SNS:
-    """Load a predictor saved by :func:`save_sns`; ready to ``predict()``."""
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["__header__"]).decode())
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported SNS archive version: {header.get('format_version')}")
-        config = CircuitformerConfig(**header["circuitformer_config"])
-        sampler = PathSampler(**header["sampler"])
-        count = header.get("num_aggregators", 1)
-        sns = SNS(sampler=sampler, circuitformer_config=config,
-                  num_aggregators=count)
-        sns.circuitformer.load_state_dict(
-            {k[len("cf::"):]: archive[k] for k in archive.files
-             if k.startswith("cf::")})
-        sns.circuitformer.scaler = TargetScaler(
-            mean=archive["cf_scaler_mean"].copy(),
-            std=archive["cf_scaler_std"].copy())
-        for i, aggregator in enumerate(sns.aggregators):
-            prefix = f"agg{i}::"
-            aggregator.load_state_dict(
-                {k[len(prefix):]: archive[k] for k in archive.files
-                 if k.startswith(prefix)})
-            aggregator.input_mean = archive[f"agg{i}_input_mean"].copy()
-            aggregator.input_std = archive[f"agg{i}_input_std"].copy()
-            aggregator.residual_mean = archive[f"agg{i}_residual_mean"].copy()
-            aggregator.residual_std = archive[f"agg{i}_residual_std"].copy()
-            aggregator.area_weights = archive[f"agg{i}_area_weights"].copy()
-            aggregator.energy_weights = archive[f"agg{i}_energy_weights"].copy()
-            aggregator.timing_scale = float(archive[f"agg{i}_timing_scale"][0])
-            aggregator._physics_fitted = True
+    """Load a predictor saved by :func:`save_sns`; ready to ``predict()``.
+
+    A missing or unreadable file raises ``OSError``; any other file that
+    :func:`save_sns` did not write raises :class:`ModelFileError`.
+    """
+    def bad(reason: str) -> ModelFileError:
+        return ModelFileError(f"cannot load model {path}: {reason}")
+
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise bad(f"not an .npz archive ({exc})") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise bad("not an .npz archive")
+    with archive:
+        if "__header__" not in archive.files:
+            raise bad("no __header__ entry, so not written by save_sns")
+        try:
+            header = json.loads(bytes(archive["__header__"]).decode())
+            version = header.get("format_version")
+            if version == _FORMAT_VERSION:
+                return _from_archive(archive, header)
+        except (AttributeError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise bad(f"corrupt archive ({exc})") from exc
+    raise bad(f"unsupported format_version {version!r} "
+              f"(expected {_FORMAT_VERSION})")
+
+
+def _from_archive(archive, header: dict) -> SNS:
+    config = CircuitformerConfig(**header["circuitformer_config"])
+    sampler = PathSampler(**header["sampler"])
+    count = header.get("num_aggregators", 1)
+    sns = SNS(sampler=sampler, circuitformer_config=config,
+              num_aggregators=count)
+    sns.circuitformer.load_state_dict(
+        {k[len("cf::"):]: archive[k] for k in archive.files
+         if k.startswith("cf::")})
+    sns.circuitformer.scaler = TargetScaler(
+        mean=archive["cf_scaler_mean"].copy(),
+        std=archive["cf_scaler_std"].copy())
+    for i, aggregator in enumerate(sns.aggregators):
+        prefix = f"agg{i}::"
+        aggregator.load_state_dict(
+            {k[len(prefix):]: archive[k] for k in archive.files
+             if k.startswith(prefix)})
+        aggregator.input_mean = archive[f"agg{i}_input_mean"].copy()
+        aggregator.input_std = archive[f"agg{i}_input_std"].copy()
+        aggregator.residual_mean = archive[f"agg{i}_residual_mean"].copy()
+        aggregator.residual_std = archive[f"agg{i}_residual_std"].copy()
+        aggregator.area_weights = archive[f"agg{i}_area_weights"].copy()
+        aggregator.energy_weights = archive[f"agg{i}_energy_weights"].copy()
+        aggregator.timing_scale = float(archive[f"agg{i}_timing_scale"][0])
+        aggregator._physics_fitted = True
     sns._fitted = True
     return sns

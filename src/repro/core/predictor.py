@@ -18,7 +18,7 @@ import numpy as np
 
 from ..datagen.augment import AugmentationConfig, augment_path_dataset
 from ..datagen.dataset import DesignRecord, sample_path_dataset
-from ..graphir import CircuitGraph, Vocabulary, as_compiled
+from ..graphir import CompiledGraph, Vocabulary
 from ..hdl import Module
 from ..synth import Synthesizer
 from .aggregator import AggregationMLP, featurize_design, reduce_paths
@@ -167,7 +167,7 @@ class SNS:
     # ------------------------------------------------------------------ #
     # Prediction (Figure 1)
     # ------------------------------------------------------------------ #
-    def _aggregate(self, graph: CircuitGraph, paths, preds,
+    def _aggregate(self, graph: CompiledGraph, paths, preds,
                    activity: dict[int, float] | None = None):
         """Reduce per-path predictions to design-level values.
 
@@ -202,7 +202,7 @@ class SNS:
             critical = paths[int(np.argmax(preds[:, 0]))]
         return float(timing), float(area), float(power), spread, critical
 
-    def predict(self, design: CircuitGraph | Module,
+    def predict(self, design: CompiledGraph | Module,
                 activity: dict[int, float] | None = None,
                 bucketed: bool = True) -> SNSPrediction:
         """Predict area, power, and timing of a design.
@@ -215,11 +215,7 @@ class SNS:
         if not self._fitted:
             raise RuntimeError("SNS.fit() must run before predict()")
         start = time.perf_counter()
-        # The whole prediction front end runs on the compiled form: flat
-        # builder elaboration for Modules, CSR array sampling, and
-        # vectorized statistics — node-for-node identical to the
-        # dict-graph pipeline (see the compiled-graph parity suite).
-        graph = as_compiled(design)
+        graph = design if isinstance(design, CompiledGraph) else design.elaborate()
 
         paths = self.sampler.sample(graph)
         preds = self.circuitformer.predict_paths(
@@ -247,7 +243,7 @@ class SNS:
         length-bucketed pooled forward passes, with results bit-identical
         to calling :meth:`predict` per design.  ``activity_maps`` may be
         a dict keyed by elaborated design name (``graph.name`` — resolved
-        consistently for both :class:`CircuitGraph` and :class:`Module`
+        consistently for both :class:`CompiledGraph` and :class:`Module`
         inputs, warning on unmatched keys) or a sequence aligned with
         ``designs``.  Predictions are not cached; pass a
         :class:`repro.runtime.FrontendCache` as ``frontend_cache`` to

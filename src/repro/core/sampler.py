@@ -7,17 +7,9 @@ vertex it explores ``ceil(|successors| / k)`` randomly-chosen successors
 (at least one), so ``k = 1`` is exhaustive and larger ``k`` thins the
 sample.  The paper uses ``k = 5`` for training.
 
-Two engines produce bit-identical output (same paths, same order, same
-RNG consumption — asserted by the parity suite and the throughput
-bench):
-
-- ``engine="array"`` (default) walks the CSR adjacency of a
-  :class:`repro.graphir.CompiledGraph` — precompiled successor lists,
-  token strings, and sequential flags instead of per-visit ``Node``
-  property evaluation.  A :class:`CircuitGraph` input is compiled once
-  and memoized on the instance.
-- ``engine="reference"`` is the original dict-graph walk, kept as the
-  parity oracle.
+The walk runs over the CSR adjacency of a
+:class:`repro.graphir.CompiledGraph`: precompiled successor lists, token
+strings, and sequential flags.
 """
 
 from __future__ import annotations
@@ -26,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphir import CircuitGraph, CompiledGraph, compile_graph
+from ..graphir import CompiledGraph
 
 __all__ = ["SampledPath", "PathSampler"]
 
 DEFAULT_K = 5
 DEFAULT_MAX_LEN = 64
 DEFAULT_MAX_PATHS = 512
-
-ENGINES = ("array", "reference")
 
 
 @dataclass(frozen=True)
@@ -69,17 +59,12 @@ class PathSampler:
         Global per-design budget; sampling stops once reached.
     seed:
         RNG seed for reproducible sampling.
-    engine:
-        ``"array"`` (compiled CSR walk, default) or ``"reference"`` (the
-        original dict-graph walk).  Both are bit-identical, so the
-        engine choice is excluded from the sampler fingerprint.
     """
 
     k: int = DEFAULT_K
     max_len: int = DEFAULT_MAX_LEN
     max_paths: int = DEFAULT_MAX_PATHS
     seed: int = 0
-    engine: str = "array"
 
     # Work-stack bound for one DFS: the iterative walk cannot hit
     # Python's recursion limit on deep combinational chains, but a
@@ -92,30 +77,19 @@ class PathSampler:
             raise ValueError(f"k must be >= 1: {self.k}")
         if self.max_len < 2:
             raise ValueError(f"max_len must allow at least two endpoints: {self.max_len}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}: {self.engine!r}")
 
     # ------------------------------------------------------------------ #
-    def sample(self, graph: CircuitGraph | CompiledGraph) -> list[SampledPath]:
+    def sample(self, cg: CompiledGraph) -> list[SampledPath]:
         """Sample complete circuit paths from every sequential source.
 
         Sampling is coverage-guided (successors not yet on any sampled
         path are preferred — the paper's "evenly distributed across the
         entire design") and runs multiple rounds over the sources until
-        the path budget is met or a round yields nothing new.
+        the path budget is met or a round yields nothing new.  Each DFS
+        uses an explicit work stack, so combinational chains deeper than
+        ``sys.getrecursionlimit()`` are safe; ``_MAX_STACK`` turns a
+        pathological exploration into a clear error.
         """
-        if self.engine == "array":
-            compiled = (graph if isinstance(graph, CompiledGraph)
-                        else compile_graph(graph))
-            return self._sample_array(compiled)
-        if isinstance(graph, CompiledGraph):
-            graph = graph.to_circuit_graph()
-        return self._sample_reference(graph)
-
-    # ------------------------------------------------------------------ #
-    # Array engine: iterative DFS over precompiled CSR successor lists.
-    # ------------------------------------------------------------------ #
-    def _sample_array(self, cg: CompiledGraph) -> list[SampledPath]:
         rng = np.random.default_rng(self.seed)
         shuffle = rng.shuffle
         succ = cg.succ_lists
@@ -133,10 +107,12 @@ class PathSampler:
         visited_update = visited.update
 
         def pick(successors: list[int]) -> list[int]:
-            # ceil(len/k) picks, fresh (never-visited) successors first.
-            # RNG-stream parity with the reference: Generator.shuffle on
-            # a 0/1-element Python sequence draws nothing, so skipping
-            # those calls changes no stream position.
+            # ceil(len/k) picks, fresh (never-visited) successors first:
+            # the coverage preference keeps rare branches (a lone divider
+            # behind a wide mux tree, often the critical path) from being
+            # thinned away.  Generator.shuffle on a 0/1-element sequence
+            # draws nothing, so skipping those calls moves no stream
+            # position.
             length = len(successors)
             count = -(-length // k)
             if count >= length:
@@ -193,90 +169,3 @@ class PathSampler:
             if len(paths) == before:
                 break
         return paths
-
-    # ------------------------------------------------------------------ #
-    # Reference engine (parity oracle)
-    # ------------------------------------------------------------------ #
-    def _sample_reference(self, graph: CircuitGraph) -> list[SampledPath]:
-        rng = np.random.default_rng(self.seed)
-        paths: list[SampledPath] = []
-        seen: set[tuple[int, ...]] = set()
-        self._visited: set[int] = set()
-
-        sources = graph.source_ids()
-        max_rounds = 1 if self.k == 1 else 8
-        for _ in range(max_rounds):
-            if len(paths) >= self.max_paths:
-                break
-            before = len(paths)
-            rng.shuffle(sources)
-            for src in sources:
-                if len(paths) >= self.max_paths:
-                    break
-                self._dfs_from(graph, src, rng, paths, seen)
-            if len(paths) == before:
-                break
-        return paths
-
-    # ------------------------------------------------------------------ #
-    def _dfs_from(self, graph: CircuitGraph, src: int, rng: np.random.Generator,
-                  paths: list[SampledPath], seen: set[tuple[int, ...]]) -> None:
-        """Iterative DFS growing one path at a time from ``src``.
-
-        The explicit work stack (rather than Python recursion) is what
-        makes combinational chains deeper than ``sys.getrecursionlimit()``
-        safe to sample; the ``_MAX_STACK`` guard turns a pathological
-        exploration into a clear error instead of memory exhaustion (or,
-        for a recursive formulation, a ``RecursionError``).
-        """
-        # Stack holds (node, path_so_far); path includes node.
-        stack: list[tuple[int, tuple[int, ...]]] = []
-        for succ in self._pick(graph.successors(src), rng):
-            stack.append((succ, (src, succ)))
-
-        while stack and len(paths) < self.max_paths:
-            node_id, path = stack.pop()
-            node = graph.node(node_id)
-            if node.is_sequential:
-                if len(path) >= 2 and path not in seen:
-                    seen.add(path)
-                    paths.append(SampledPath(
-                        node_ids=path,
-                        tokens=tuple(graph.node(n).token for n in path),
-                    ))
-                continue
-            if len(path) >= self.max_len:
-                continue  # drop over-long exploration
-            successors = graph.successors(node_id)
-            if not successors:
-                continue  # dangling combinational sink; not a complete path
-            for succ in self._pick(successors, rng):
-                if succ in path and not graph.node(succ).is_sequential:
-                    continue  # avoid combinational revisits
-                stack.append((succ, path + (succ,)))
-            if len(stack) > self._MAX_STACK:
-                raise RuntimeError(
-                    f"path-sampler work stack exceeded {self._MAX_STACK} "
-                    f"entries on design {graph.name!r}; raise k or lower "
-                    "max_len/max_paths to bound the exploration")
-
-    def _pick(self, successors: list[int], rng: np.random.Generator) -> list[int]:
-        """Choose ceil(len/k) successors, preferring ones never visited.
-
-        The coverage preference keeps rare branches (a lone divider behind
-        a wide mux tree — often the critical path) from being thinned
-        away, while staying random within the visited/unvisited groups.
-        """
-        if not successors:
-            return []
-        count = -(-len(successors) // self.k)  # ceil division
-        if count >= len(successors):
-            picked = list(successors)
-        else:
-            fresh = [s for s in successors if s not in self._visited]
-            stale = [s for s in successors if s in self._visited]
-            rng.shuffle(fresh)
-            rng.shuffle(stale)
-            picked = (fresh + stale)[:count]
-        self._visited.update(picked)
-        return picked

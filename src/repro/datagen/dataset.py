@@ -8,10 +8,8 @@
 - Family-aware train/test splitting: designs generated from the same
   parameterizable base never straddle the split (Section 4.1).
 
-Path sampling here runs on the sampler's default array engine: each
-``DesignRecord.graph`` compiles once to CSR form (memoized on the graph
-instance) and the iterative array walk samples it — bit-identical paths
-to the reference engine, so dataset content is unchanged.
+Each ``DesignRecord.graph`` is the design's :class:`CompiledGraph`,
+which the path sampler walks directly.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..designs import DesignEntry
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph
 from ..synth import Synthesizer
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core at runtime
@@ -47,7 +45,7 @@ class DesignRecord:
 
     name: str
     family: str
-    graph: CircuitGraph
+    graph: CompiledGraph
     timing_ps: float
     area_um2: float
     power_mw: float

@@ -103,10 +103,8 @@ class DianNaoDSE:
     def _prepare(self, config: DianNaoConfig):
         """Elaborate one configuration and derive its activity map.
 
-        SNS-backed runs compile through the :class:`FrontendCache` (flat
-        builder elaboration, cached per configuration; node ids — and so
-        activity keys — identical to ``elaborate()``); synthesizer runs
-        keep the dict :class:`CircuitGraph` the synthesizer operates on.
+        SNS-backed runs compile through the :class:`FrontendCache`
+        (cached per configuration); synthesizer runs elaborate directly.
         """
         if self._batch_engine is not None:
             from ..runtime import compile_design

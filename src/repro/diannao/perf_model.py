@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph
 from .config import DianNaoConfig
 
 __all__ = ["LayerSpec", "ALEXNET_CIFAR10", "PerfReport", "DianNaoPerfModel"]
@@ -123,7 +123,7 @@ class DianNaoPerfModel:
         )
 
     # ------------------------------------------------------------------ #
-    def activity_coefficients(self, graph: CircuitGraph, report: PerfReport,
+    def activity_coefficients(self, graph: CompiledGraph, report: PerfReport,
                               gated: bool = True) -> dict[int, float]:
         """Per-register activity coefficients keyed by GraphIR node id.
 
@@ -145,13 +145,8 @@ class DianNaoPerfModel:
             "nbout": 0.5 * u3,
         }
         out: dict[int, float] = {}
-        if isinstance(graph, CircuitGraph):
-            dffs = ((n.node_id, n.label) for n in graph.nodes()
-                    if n.node_type == "dff")
-        else:  # CompiledGraph: same ids/labels, straight off the arrays
-            labels = graph.labels
-            dffs = ((nid, labels[nid]) for nid in graph.ids_of_type("dff"))
-        for node_id, label in dffs:
+        for node_id in graph.ids_of_type("dff"):
+            label = graph.labels[node_id]
             for prefix, coeff in stage_activity.items():
                 if label.startswith(prefix):
                     out[node_id] = coeff

@@ -148,9 +148,7 @@ class DesignSpaceExplorer:
         module = self.factory(**params)
         if self._batch_engine is not None:
             # Hand the Module straight to the batch engine: it compiles
-            # through the shared FrontendCache (flat builder elaboration,
-            # cached per configuration).  The synthesizer path keeps the
-            # dict CircuitGraph it operates on.
+            # through the shared FrontendCache (cached per configuration).
             pred = self._batch_engine.predict_batch([module])[0]
             timing, area, power = pred.timing_ps, pred.area_um2, pred.power_mw
         else:

@@ -172,7 +172,7 @@ def throughput_comparison(sns: SNS, graphs,
                           batch_size: int = 32) -> ThroughputReport:
     """Measure the batched runtime against the serial prediction paths.
 
-    ``graphs`` is a list of :class:`CircuitGraph` (or
+    ``graphs`` is a list of :class:`CompiledGraph` (or
     :class:`DesignRecord`, whose graphs are extracted).  Four
     measurements run over the same designs: the serial seed path
     (pad-to-longest, one design per forward pool), the serial bucketed

@@ -1,31 +1,26 @@
-"""Compiled GraphIR: CSR arrays, vectorized stats, and a flat builder.
+"""The GraphIR circuit graph (Section 3.1 of the SNS paper).
 
-Mirrors the ``repro.synth.engine`` pattern for the front-end: a
-:class:`CompiledGraph` flattens a :class:`CircuitGraph` once into CSR
-successor/predecessor arrays with int-coded types, pre-rounded widths,
-and vocabulary token ids, so the hot consumers — path sampling
-(``PathSampler(engine="array")``), ``graphir.stats``, and graph
-fingerprinting — run over arrays instead of per-node dataclass
-properties and dict-of-list scans.
+A :class:`CompiledGraph` is a directed graph whose vertices are
+functional units (``io``, ``dff``, ``mux``, ``add``, ``mul``, ...)
+annotated with the bit-width of their widest connection, and whose edges
+are wires.  Node token names (``mul16``) use the rounded Table 1
+vocabulary.  The graph is stored as arrays -- int-coded types, raw and
+pre-rounded widths, vocabulary token ids, and CSR successor/predecessor
+lists -- so path sampling, the graph statistics fed to the Aggregation
+MLP, and fingerprinting run over arrays.
 
-Three ways to obtain one:
+Two ways to obtain one:
 
-- :func:`compile_graph` flattens an existing :class:`CircuitGraph`
-  (memoized on the graph instance, invalidated when the node/edge counts
-  change — the only public mutations are additive);
-- :class:`GraphBuilder` is a drop-in construction target for
-  :class:`repro.hdl.Circuit` that skips the dict graph entirely and
-  compiles straight from flat append-lists
-  (``Module.elaborate_compiled`` / ``elaborate(..., compiled=True)``);
+- :class:`GraphBuilder` is the only construction target: DSL and
+  Verilog elaboration (through :class:`repro.hdl.Circuit`),
+  :func:`repro.graphir.from_json`, and single-path graphs all append to
+  one and call :meth:`GraphBuilder.compile`;
 - :meth:`CompiledGraph.from_payload` rehydrates the JSON-serializable
-  form stored by :class:`repro.runtime.frontend.FrontendCache`.
+  form stored in the artifact store's ``graph`` kind.
 
-Everything observable is exact: the CSR keeps per-node successor lists
-in insertion order (so the array sampler consumes the RNG stream
-bit-identically to the reference), the vectorized stats equal
-``graphir.stats`` to the last ulp (every contribution is an exact
-integer in float64), and :meth:`CompiledGraph.fingerprint` reproduces
-``repro.runtime.fingerprint.fingerprint_graph`` byte for byte.
+Each node's successor and predecessor lists keep edge insertion order,
+so the sampler consumes the RNG stream in construction order, and the
+statistics are exact (every contribution is an integer in float64).
 """
 
 from __future__ import annotations
@@ -35,12 +30,18 @@ from collections import Counter
 
 import numpy as np
 
-from .graph import CircuitGraph
 from .vocab import (ARITH_TYPES, NODE_TYPES, SEQUENTIAL_TYPES, WIDTHS_ARITH,
                     WIDTHS_LOGIC, Vocabulary)
-from .stats import NUM_STRUCTURAL_FEATURES, NUM_WEIGHTED_FEATURES, _QUADRATIC_TYPES
 
-__all__ = ["CompiledGraph", "GraphBuilder", "compile_graph", "as_compiled"]
+__all__ = ["CompiledGraph", "GraphBuilder", "NUM_STRUCTURAL_FEATURES",
+           "NUM_WEIGHTED_FEATURES"]
+
+NUM_STRUCTURAL_FEATURES = 6
+NUM_WEIGHTED_FEATURES = 7
+
+# Vertex types whose hardware cost grows quadratically with width
+# (array multipliers/dividers), versus linearly (everything else).
+_QUADRATIC_TYPES = frozenset({"mul", "div", "mod"})
 
 PAYLOAD_FORMAT = "repro-graphir-compiled"
 PAYLOAD_VERSION = 1
@@ -113,12 +114,10 @@ def _csr(src: np.ndarray, dst: np.ndarray, num_nodes: int
 
 
 class CompiledGraph:
-    """A :class:`CircuitGraph` flattened into arrays (immutable).
+    """An immutable circuit graph with O(1) successor/predecessor lookup.
 
-    ``edge_src``/``edge_dst`` keep the edges in insertion order — the
-    order every :class:`CircuitGraph` adjacency list observes — so both
-    CSR directions, :meth:`to_circuit_graph`, and the array sampler see
-    exactly the structure (and traversal order) of the dict graph.
+    ``edge_src``/``edge_dst`` keep the edges in insertion order, and the
+    stable CSR build keeps that order inside every adjacency list.
     """
 
     def __init__(self, name: str, type_codes, widths, labels: list[str],
@@ -156,12 +155,17 @@ class CompiledGraph:
         lo, hi = self.pred_indptr[node_id], self.pred_indptr[node_id + 1]
         return self.pred_indices[lo:hi].tolist()
 
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge, source-major (the CSR order)."""
+        src = np.repeat(np.arange(self.num_nodes), np.diff(self.succ_indptr))
+        return list(zip(src.tolist(), self.succ_indices.tolist()))
+
     def __repr__(self) -> str:
         return (f"CompiledGraph({self.name!r}, nodes={self.num_nodes}, "
                 f"edges={self.num_edges})")
 
     # ------------------------------------------------------------------ #
-    # Derived pure-Python views (built lazily, once): the array sampler's
+    # Derived pure-Python views (built lazily, once): the sampler's
     # inner loop reads plain lists — faster than ndarray indexing for
     # one-element access — while staying exactly the CSR content.
     # ------------------------------------------------------------------ #
@@ -182,6 +186,12 @@ class CompiledGraph:
     @property
     def is_seq_list(self) -> list[bool]:
         return self._lazy("is_seq_list", self.is_sequential.tolist)
+
+    @property
+    def type_names(self) -> list[str]:
+        """The vertex type name of every node, in id order."""
+        return self._lazy("type_names", lambda: [
+            NODE_TYPES[c] for c in self.type_codes.tolist()])
 
     @property
     def token_list(self) -> list[str]:
@@ -206,9 +216,10 @@ class CompiledGraph:
         return np.nonzero(self.type_codes == code)[0].tolist()
 
     # ------------------------------------------------------------------ #
-    # Vectorized statistics (exact equals of ``graphir.stats``).
+    # Graph statistics fed to the Aggregation MLP (Figure 2(c)).
     # ------------------------------------------------------------------ #
     def token_counts(self) -> Counter:
+        """Count of each vocabulary token name in the graph."""
         def build():
             counts = np.bincount(self.token_ids - _NUM_SPECIAL,
                                  minlength=Vocabulary.standard().circuit_size) \
@@ -219,6 +230,7 @@ class CompiledGraph:
         return self._lazy("token_counts", build)
 
     def stats_vector(self, vocab: Vocabulary | None = None) -> np.ndarray:
+        """Fixed-length vector of per-token counts, in vocabulary order."""
         standard = Vocabulary.standard()
         if vocab is None or vocab is standard:
             def build():
@@ -232,6 +244,10 @@ class CompiledGraph:
                         dtype=np.float64)
 
     def structural_features(self) -> np.ndarray:
+        """Whole-graph structural features:
+
+        [num_nodes, num_edges, num_sequential, max_fanout, mean_width, max_width]
+        """
         def build():
             if self.num_nodes == 0:
                 return np.zeros(NUM_STRUCTURAL_FEATURES)
@@ -247,6 +263,15 @@ class CompiledGraph:
         return self._lazy("structural_features", build)
 
     def weighted_features(self) -> np.ndarray:
+        """Width-weighted aggregate statistics.
+
+        Pure graph statistics (no library access) that correlate strongly
+        with physical cost, giving the Aggregation MLP a low-dimensional
+        signal alongside the raw 79-token histogram:
+
+        [total bits, quadratic-type bits^2, dff bits, mux bits,
+         shifter bits*log2(bits), compare bits, reduce bits]
+        """
         def build():
             totals = np.zeros(NUM_WEIGHTED_FEATURES)
             if self.num_nodes == 0:
@@ -255,7 +280,7 @@ class CompiledGraph:
             w = self.rounded_widths.astype(np.float64)
             # Every term is an exact integer in float64 (widths are
             # powers of two >= 4, log2 exact), so summation order cannot
-            # change the result vs the reference's sequential loop.
+            # change the result.
             totals[0] = w.sum()
             quad = w[_IS_QUAD[tc]]
             totals[1] = (quad * quad).sum()
@@ -269,9 +294,16 @@ class CompiledGraph:
         return self._lazy("weighted_features", build)
 
     # ------------------------------------------------------------------ #
-    # Fingerprint (byte-identical to fingerprint_graph on the dict graph)
+    # Fingerprint: the store's graph key.  Its byte layout (ids and raw
+    # widths as int64 pairs, NUL-joined type names, sorted edge pairs)
+    # is fixed, so stored entries keep their addresses.
     # ------------------------------------------------------------------ #
     def fingerprint(self) -> str:
+        """SHA-256 over the graph's structure (nodes, widths, edges).
+
+        The design *name* and node labels are excluded: parameter sweeps
+        that elaborate to identical hardware share one entry.
+        """
         def build():
             h = hashlib.sha256(b"graph:v2")
             n = self.num_nodes
@@ -292,7 +324,7 @@ class CompiledGraph:
         return self._lazy("fingerprint", build)
 
     # ------------------------------------------------------------------ #
-    # Interop / serialization
+    # Serialization
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
         """Raise ``ValueError`` on structural corruption (cheap, vectorized)."""
@@ -306,17 +338,6 @@ class CompiledGraph:
         for arr in (self.edge_src, self.edge_dst):
             if len(arr) and (n == 0 or (arr < 0).any() or (arr >= n).any()):
                 raise ValueError("edge endpoints must exist")
-
-    def to_circuit_graph(self) -> CircuitGraph:
-        """Rebuild the equivalent dict-of-lists graph (same ids, same
-        adjacency order — ``fingerprint_graph`` and sampling agree)."""
-        graph = CircuitGraph(self.name)
-        for code, width, label in zip(self.type_codes.tolist(),
-                                      self.widths.tolist(), self.labels):
-            graph.add_node(NODE_TYPES[code], width, label)
-        for src, dst in zip(self.edge_src.tolist(), self.edge_dst.tolist()):
-            graph.add_edge(src, dst)
-        return graph
 
     def to_payload(self) -> dict:
         """JSON-serializable form (the FrontendCache disk schema)."""
@@ -345,72 +366,16 @@ class CompiledGraph:
 
 
 # ---------------------------------------------------------------------- #
-# Compiling an existing dict graph
-# ---------------------------------------------------------------------- #
-def compile_graph(graph: CircuitGraph, memo: bool = True) -> CompiledGraph:
-    """Flatten a :class:`CircuitGraph` into a :class:`CompiledGraph`.
-
-    With ``memo=True`` (the default) the result is cached on the graph
-    instance, keyed by its (num_nodes, num_edges) — sound because the
-    only public mutations (``add_node``/``add_edge``/``merge``) are
-    additive, so any structural change moves at least one count.
-    """
-    if memo:
-        token = (graph.num_nodes, graph.num_edges)
-        cached = graph.__dict__.get("_compiled_cache")
-        if cached is not None and cached[0] == token:
-            return cached[1]
-    nodes = graph.nodes()
-    num = len(nodes)
-    if any(n.node_id != i for i, n in enumerate(nodes)):
-        raise ValueError("compile_graph requires contiguous node ids")
-    type_codes = np.fromiter((_TYPE_CODE[n.node_type] for n in nodes),
-                             np.int64, num)
-    widths = np.fromiter((n.width for n in nodes), np.int64, num)
-    labels = [n.label for n in nodes]
-    log = graph._edge_log
-    if len(log) != graph.num_edges:
-        raise ValueError("edge journal out of sync with adjacency lists")
-    if log:
-        edges = np.array(log, np.int64)
-        edge_src, edge_dst = edges[:, 0], edges[:, 1]
-    else:
-        edge_src = edge_dst = np.zeros(0, np.int64)
-    compiled = CompiledGraph(graph.name, type_codes, widths, labels,
-                             edge_src, edge_dst)
-    if memo:
-        graph.__dict__["_compiled_cache"] = ((num, graph.num_edges), compiled)
-    return compiled
-
-
-def as_compiled(design) -> CompiledGraph:
-    """Coerce a design (CompiledGraph / CircuitGraph / hdl Module) to a
-    :class:`CompiledGraph` along the cheapest exact route."""
-    if isinstance(design, CompiledGraph):
-        return design
-    if isinstance(design, CircuitGraph):
-        return compile_graph(design)
-    elaborate = getattr(design, "elaborate_compiled", None)
-    if elaborate is not None:
-        return elaborate()
-    raise TypeError(f"cannot compile {type(design).__name__} to a CompiledGraph")
-
-
-# ---------------------------------------------------------------------- #
-# Flat construction (skips the dict graph entirely)
+# Construction
 # ---------------------------------------------------------------------- #
 class GraphBuilder:
-    """Array-backed construction target with the :class:`CircuitGraph`
-    builder API (``add_node``/``add_edge`` plus the journal hooks the
-    memoizing elaborator uses).
+    """Append-only construction target for a :class:`CompiledGraph`.
 
-    Node/edge validation matches the dict graph's (``ValueError`` for bad
-    types/widths, ``KeyError`` for dangling endpoints); adjacency order
-    is insertion order, so :meth:`compile` yields exactly what
-    :func:`compile_graph` would produce from the equivalent
-    :class:`CircuitGraph` — just ~2x faster to build, since it appends to
-    flat lists instead of allocating a Node dataclass and two adjacency
-    lists per vertex.
+    ``add_node`` raises ``ValueError`` for an unknown type or a width
+    below 1; ``add_edge`` raises ``KeyError`` for a dangling endpoint and
+    collapses parallel edges.  The journal hooks (``next_node_id``,
+    ``edge_mark``, ``edges_since``, ``nodes_since``) let the memoizing
+    Verilog elaborator record and replay instances in construction order.
     """
 
     def __init__(self, name: str = "design"):
@@ -423,8 +388,8 @@ class GraphBuilder:
         self._eset: set[int] = set()
         self._n = 0
 
-    # -- construction (Circuit-facing API) ----------------------------- #
     def add_node(self, node_type: str, width: int, label: str = "") -> int:
+        """Create a vertex and return its id."""
         code = _TYPE_CODE.get(node_type)
         if code is None:
             raise ValueError(f"unknown node type: {node_type!r}")
@@ -438,6 +403,7 @@ class GraphBuilder:
         return node_id
 
     def add_edge(self, src: int, dst: int) -> None:
+        """Connect ``src -> dst``; parallel edges are collapsed."""
         n = self._n
         if not (0 <= src < n and 0 <= dst < n):
             raise KeyError(f"edge endpoints must exist: {src} -> {dst}")
@@ -447,15 +413,7 @@ class GraphBuilder:
             self._esrc.append(src)
             self._edst.append(dst)
 
-    # -- queries / journal hooks --------------------------------------- #
-    @property
-    def num_nodes(self) -> int:
-        return self._n
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._esrc)
-
+    # -- journal hooks ------------------------------------------------- #
     @property
     def next_node_id(self) -> int:
         return self._n
@@ -471,10 +429,6 @@ class GraphBuilder:
                 for c, w, l in zip(self._types[start:], self._widths[start:],
                                    self._labels[start:])]
 
-    def validate(self) -> None:
-        """No-op: every invariant is enforced at construction time."""
-
-    # -- finalize ------------------------------------------------------ #
     def compile(self) -> CompiledGraph:
         return CompiledGraph(
             self.name,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 
-from .graph import CircuitGraph
+from .compiled import CompiledGraph, GraphBuilder
 
 __all__ = ["to_json", "from_json", "save_graph", "load_graph"]
 
@@ -27,23 +27,23 @@ _FORMAT = "repro-graphir"
 _VERSION = 1
 
 
-def to_json(graph: CircuitGraph, indent: int | None = None) -> str:
+def to_json(graph: CompiledGraph, indent: int | None = None) -> str:
     """Serialize a circuit graph to a JSON string."""
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
         "name": graph.name,
         "nodes": [
-            {"id": n.node_id, "type": n.node_type, "width": n.width,
-             "label": n.label}
-            for n in graph.nodes()
+            {"id": i, "type": t, "width": w, "label": label}
+            for i, (t, w, label) in enumerate(zip(
+                graph.type_names, graph.widths.tolist(), graph.labels))
         ],
         "edges": [[src, dst] for src, dst in graph.edges()],
     }
     return json.dumps(doc, indent=indent)
 
 
-def from_json(text: str) -> CircuitGraph:
+def from_json(text: str) -> CompiledGraph:
     """Parse a graph serialized by :func:`to_json`.
 
     Node ids are preserved, so path records and activity maps referring
@@ -55,27 +55,24 @@ def from_json(text: str) -> CircuitGraph:
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported version {doc.get('version')!r}")
 
-    graph = CircuitGraph(doc.get("name", "design"))
-    remap: dict[int, int] = {}
+    builder = GraphBuilder(doc.get("name", "design"))
     for node in sorted(doc["nodes"], key=lambda n: n["id"]):
-        new_id = graph.add_node(node["type"], node["width"], node.get("label", ""))
-        remap[node["id"]] = new_id
+        new_id = builder.add_node(node["type"], node["width"], node.get("label", ""))
         if new_id != node["id"]:
             raise ValueError(
                 f"non-contiguous node ids not supported: {node['id']} -> {new_id}")
     for src, dst in doc["edges"]:
-        graph.add_edge(remap[src], remap[dst])
-    graph.validate()
-    return graph
+        builder.add_edge(src, dst)
+    return builder.compile()
 
 
-def save_graph(graph: CircuitGraph, path: str | os.PathLike) -> None:
+def save_graph(graph: CompiledGraph, path: str | os.PathLike) -> None:
     """Write a graph to a ``.json`` file."""
     with open(path, "w") as f:
         f.write(to_json(graph, indent=1))
 
 
-def load_graph(path: str | os.PathLike) -> CircuitGraph:
+def load_graph(path: str | os.PathLike) -> CompiledGraph:
     """Load a graph written by :func:`save_graph`."""
     with open(path) as f:
         return from_json(f.read())

@@ -3,7 +3,7 @@
 The SNS paper uses Chisel to produce parameterizable Verilog designs; this
 package is the in-repo substitute.  Designs subclass :class:`Module`,
 build logic from :class:`Signal` expressions on a :class:`Circuit`, and
-elaborate directly to :class:`repro.graphir.CircuitGraph`.
+elaborate directly to a :class:`repro.graphir.CompiledGraph`.
 """
 
 from .signal import Signal

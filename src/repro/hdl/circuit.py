@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph, GraphBuilder
 from .signal import Operand, Signal
 
 __all__ = ["Circuit", "Reg"]
@@ -30,12 +30,8 @@ class Circuit:
         c.output("out", acc)
     """
 
-    def __init__(self, name: str = "design", graph=None):
-        # ``graph`` may be any object with the CircuitGraph construction
-        # API (add_node/add_edge/validate) — notably a
-        # :class:`repro.graphir.GraphBuilder` for flat array-backed
-        # elaboration straight into a CompiledGraph.
-        self.graph = graph if graph is not None else CircuitGraph(name)
+    def __init__(self, name: str = "design"):
+        self.graph = GraphBuilder(name)
         self._pending_regs: set[int] = set()
 
     # ------------------------------------------------------------------ #
@@ -110,15 +106,13 @@ class Circuit:
         return Signal(self, node_id, width)
 
     # ------------------------------------------------------------------ #
-    def finalize(self) -> CircuitGraph:
-        """Validate and return the built graph.
+    def finalize(self) -> CompiledGraph:
+        """Return the built graph.
 
         Registers declared with :meth:`reg_declare` but never driven are
-        allowed (they model constant/reset-held registers), but the graph
-        must be internally consistent.
+        allowed (they model constant/reset-held registers).
         """
-        self.graph.validate()
-        return self.graph
+        return self.graph.compile()
 
     def _check_same_circuit(self, sig: Signal) -> None:
         if sig.circuit is not self:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph
 from .circuit import Circuit
 
 __all__ = ["Module"]
@@ -46,24 +46,11 @@ class Module:
     def build(self, c: Circuit) -> None:
         raise NotImplementedError(f"{type(self).__name__} must implement build()")
 
-    def elaborate(self) -> CircuitGraph:
-        """Build the design and return its validated GraphIR."""
+    def elaborate(self) -> CompiledGraph:
+        """Build the design and return its GraphIR."""
         c = Circuit(self.design_name)
         self.build(c)
         return c.finalize()
 
-    def elaborate_compiled(self):
-        """Build the design straight into a :class:`CompiledGraph`.
-
-        Construction targets a flat :class:`repro.graphir.GraphBuilder`
-        (append-only arrays, no per-node dict adjacency), so this is the
-        fast path for prediction: the result is node-for-node identical
-        to ``compile_graph(self.elaborate())``.
-        """
-        from ..graphir import GraphBuilder
-
-        builder = GraphBuilder(self.design_name)
-        c = Circuit(self.design_name, graph=builder)
-        self.build(c)
-        c.finalize()
-        return builder.compile()
+    # The name the end-to-end benchmark's workloads and tracer use.
+    elaborate_compiled = elaborate

@@ -166,9 +166,8 @@ class BatchPredictor:
             raise RuntimeError("SNS.fit() must run before batch prediction")
         start = time.perf_counter()
 
-        # All design forms normalize to CompiledGraph: flat builder
-        # elaboration for Modules (through the front-end cache when one
-        # is attached), instance-memoized compile for CircuitGraphs.
+        # Modules elaborate to CompiledGraphs (through the front-end
+        # cache when one is attached); graphs pass through.
         from .frontend import compile_design
 
         graphs = [compile_design(d, self.frontend_cache) for d in designs]

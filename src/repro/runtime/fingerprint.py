@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph
 
 __all__ = [
     "fingerprint_graph",
@@ -30,27 +30,14 @@ __all__ = [
 ]
 
 
-def fingerprint_graph(graph: CircuitGraph) -> str:
+def fingerprint_graph(graph: CompiledGraph) -> str:
     """SHA-256 over the graph's structure (nodes, widths, edges).
 
     The design *name* is deliberately excluded: two parameter sweeps that
     elaborate to identical hardware share one cache entry regardless of
-    what they were called.
-
-    A :class:`repro.graphir.CompiledGraph` hashes its own arrays
-    directly (byte-identical digest — asserted per registry design by
-    the compiled-graph test suite), so PR-1 disk caches stay valid.
+    what they were called.  See :meth:`CompiledGraph.fingerprint`.
     """
-    if not isinstance(graph, CircuitGraph):
-        return graph.fingerprint()
-    h = hashlib.sha256(b"graph:v2")
-    nodes = sorted(graph.nodes(), key=lambda n: n.node_id)
-    ids_widths = np.array([(n.node_id, n.width) for n in nodes], np.int64)
-    h.update(ids_widths.tobytes())
-    h.update("\x00".join(n.node_type for n in nodes).encode())
-    edges = sorted(graph.edges())
-    h.update(np.array(edges, np.int64).tobytes())
-    return h.hexdigest()
+    return graph.fingerprint()
 
 
 def _update_with_arrays(h, named_arrays) -> None:

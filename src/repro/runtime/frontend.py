@@ -1,21 +1,15 @@
-"""The compiled front end: source -> :class:`CompiledGraph` (+ paths), cached.
+"""The front end: source -> :class:`CompiledGraph` (+ paths), cached.
 
-This is the driver layer over the pieces introduced by the compiled
-front-end work:
-
-- :func:`compile_source` / :func:`compile_module` elaborate straight
-  into a flat :class:`repro.graphir.GraphBuilder` and return a
-  :class:`CompiledGraph` (CSR adjacency, int-coded tokens) — the form
-  the array path sampler and vectorized statistics consume.
+- :func:`compile_source` / :func:`compile_module` elaborate Verilog text
+  or a :class:`repro.hdl.Module` into a :class:`CompiledGraph`.
 - :class:`FrontendCache` content-addresses the whole front end in the
   artifact store: a fingerprint of (source text x top x defines) — or
   (module class source x parameters) — short-circuits to a stored
   CompiledGraph, and a second kind keyed on (graph content x sampler
-  config) replays previously sampled paths.  Both engines of the
-  sampler are bit-identical, so replayed paths equal a fresh sample
-  exactly.
+  config) replays previously sampled paths.  The sampler is
+  deterministic, so replayed paths equal a fresh sample exactly.
 - :class:`FrontendProfile` times each stage (lex / parse / elaborate /
-  compile / sample) for the ``repro compile --profile`` CLI verb.
+  sample) for the ``repro compile --profile`` CLI verb.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..graphir import CircuitGraph, CompiledGraph, as_compiled, compile_graph
+from ..graphir import CompiledGraph
 from ..store import ArtifactStore
 from .fingerprint import fingerprint_sampler
 
@@ -160,9 +154,7 @@ class FrontendCache:
 
     The path tier is keyed on (graph *content* fingerprint x sampler
     config), so two differently-named designs that elaborate to the same
-    hardware share one sampled-path entry — and because the array and
-    reference sampler engines are bit-identical, a replayed entry equals
-    a fresh sample exactly.
+    hardware share one sampled-path entry.
     """
 
     GRAPH_KIND = "graph"
@@ -235,9 +227,8 @@ def compile_source(source: str, top: str | None = None,
     """Compile Verilog text to a :class:`CompiledGraph` (cached).
 
     On a cache hit the parser and elaborator never run; on a miss the
-    source elaborates straight into a flat ``GraphBuilder`` (memoized
-    instance stamping on) and the result is stored under the
-    (preprocessed source x top x defines) fingerprint.
+    source elaborates (memoized instance stamping on) and the result is
+    stored under the (preprocessed source x top x defines) fingerprint.
     """
     from ..verilog.elaborator import elaborate_source
 
@@ -247,7 +238,7 @@ def compile_source(source: str, top: str | None = None,
         cg = cache.get_graph(key)
         if cg is not None:
             return cg
-    cg = elaborate_source(source, top, compiled=True)
+    cg = elaborate_source(source, top)
     if cache is not None:
         cache.put_graph(key, cg)
     return cg
@@ -258,11 +249,8 @@ def compile_source_profiled(source: str, top: str | None = None,
                             defines: dict[str, str] | None = None,
                             cache: FrontendCache | None = None,
                             sampler=None) -> tuple[CompiledGraph, FrontendProfile]:
-    """Like :func:`compile_source`, but times each stage separately.
-
-    The profiled run uses the staged reference pipeline (parse ->
-    dict-graph elaborate -> compile) so the per-stage numbers are
-    meaningful; pass ``sampler`` to time path sampling too.
+    """Like :func:`compile_source`, but times lex, parse and elaborate
+    separately; pass ``sampler`` to time path sampling too.
     """
     from ..verilog.elaborator import elaborate
     from ..verilog.lexer import tokenize
@@ -291,14 +279,10 @@ def compile_source_profiled(source: str, top: str | None = None,
     t1 = clock()
     file = Parser(tokens).parse()
     t2 = clock()
-    graph = elaborate(file, top)
-    t3 = clock()
-    cg = compile_graph(graph)
-    t4 = clock()
+    cg = elaborate(file, top)
     profile.lex_s = t1 - t0
     profile.parse_s = t2 - t1
-    profile.elaborate_s = t3 - t2
-    profile.compile_s = t4 - t3
+    profile.elaborate_s = clock() - t2
     if cache is not None:
         cache.put_graph(key, cg)
     if sampler is not None:
@@ -322,7 +306,7 @@ def compile_module(module, cache: FrontendCache | None = None) -> CompiledGraph:
         cg = cache.get_graph(key)
         if cg is not None:
             return cg
-    cg = module.elaborate_compiled()
+    cg = module.elaborate()
     if cache is not None:
         cache.put_graph(key, cg)
     return cg
@@ -408,7 +392,7 @@ class DeltaElaborator:
                         type(module) not in self._verified_classes:
                     self._verified_classes.add(type(module))
                     self.stats["verified_projections"] += 1
-                    fresh = module.elaborate_compiled()
+                    fresh = module.elaborate()
                     if fresh.fingerprint() != cg.fingerprint():
                         raise ValueError(
                             f"{type(module).__name__}.STRUCTURAL_PARAMS is "
@@ -417,7 +401,7 @@ class DeltaElaborator:
                             "graphs")
             return cg
         self.stats["compiles"] += 1
-        cg = module.elaborate_compiled()
+        cg = module.elaborate()
         self.cache.put_graph(key, cg)
         self._projection_owner[key] = full_fp
         return cg
@@ -450,7 +434,7 @@ class DeltaElaborator:
         else:
             self.stats["ast_hits"] += 1
         self.stats["compiles"] += 1
-        cg = elaborate(file, top, memo=self.memo, compiled=True)
+        cg = elaborate(file, top, memo=self.memo)
         self.cache.put_graph(key, cg)
         return cg
 
@@ -461,15 +445,14 @@ class DeltaElaborator:
 
 
 def compile_design(design, cache: FrontendCache | None = None) -> CompiledGraph:
-    """Normalize any design form to a :class:`CompiledGraph`.
+    """Normalize a design to a :class:`CompiledGraph`.
 
-    Accepts a :class:`CompiledGraph` (returned as-is), a
-    :class:`CircuitGraph` (compiled, memoized on the instance), or a
+    Accepts a :class:`CompiledGraph` (returned as-is) or a
     :class:`repro.hdl.Module` (elaborated via :func:`compile_module`,
     using ``cache`` when given).
     """
-    if isinstance(design, (CompiledGraph, CircuitGraph)):
-        return as_compiled(design)
-    if hasattr(design, "elaborate_compiled"):
-        return compile_module(design, cache)
-    return as_compiled(design)
+    if isinstance(design, CompiledGraph):
+        return design
+    if not hasattr(design, "elaborate"):
+        raise TypeError(f"cannot compile {type(design).__name__} to a CompiledGraph")
+    return compile_module(design, cache)

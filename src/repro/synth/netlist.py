@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph
 
 __all__ = ["MappedCell", "MappedNetlist"]
 
@@ -42,17 +42,14 @@ class MappedNetlist:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_graphir(cls, graph: CircuitGraph) -> "MappedNetlist":
+    def from_graphir(cls, graph: CompiledGraph) -> "MappedNetlist":
         net = cls(name=graph.name)
-        for node in graph.nodes():
-            net.cells[node.node_id] = MappedCell(
-                cell_id=node.node_id,
-                cell_type=node.node_type,
-                width=node.width,
-                is_sequential=node.is_sequential,
-            )
-            net.succ[node.node_id] = set()
-            net.pred[node.node_id] = set()
+        for nid, (cell_type, width, seq) in enumerate(zip(
+                graph.type_names, graph.widths.tolist(), graph.is_seq_list)):
+            net.cells[nid] = MappedCell(cell_id=nid, cell_type=cell_type,
+                                        width=width, is_sequential=seq)
+            net.succ[nid] = set()
+            net.pred[nid] = set()
         for src, dst in graph.edges():
             net.succ[src].add(dst)
             net.pred[dst].add(src)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph
 from .library import FREEPDK15, TechLibrary
 from .netlist import MappedNetlist
 from .passes import buffer_insertion, common_subexpression_elimination, mac_fusion
@@ -105,7 +105,7 @@ class SynthesisReport:
         return "\n".join(out)
 
 
-def analyze(graph: CircuitGraph, library: TechLibrary | None = None,
+def analyze(graph: CompiledGraph, library: TechLibrary | None = None,
             num_paths: int = 3,
             activity: dict[int, float] | None = None) -> SynthesisReport:
     """Map + optimize a design and produce the full report bundle."""

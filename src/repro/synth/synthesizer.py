@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..graphir import CircuitGraph, Vocabulary, parse_token
+from ..graphir import CompiledGraph, GraphBuilder, Vocabulary, parse_token
 from .library import FREEPDK15, TechLibrary
 from .netlist import MappedNetlist
 from .passes import buffer_insertion, common_subexpression_elimination, mac_fusion
@@ -100,7 +100,7 @@ class Synthesizer:
         self.engine = engine
 
     # ------------------------------------------------------------------ #
-    def synthesize(self, graph: CircuitGraph,
+    def synthesize(self, graph: CompiledGraph,
                    activity: dict[int, float] | None = None) -> SynthesisResult:
         """Synthesize a design and report area/power/timing.
 
@@ -229,22 +229,22 @@ class Synthesizer:
         return [self.synthesize_path(list(p)) for p in paths]
 
 
-def path_to_graph(tokens: list[str]) -> CircuitGraph:
-    """Build a linear CircuitGraph from a token chain like ['io8','mul16',...]."""
+def path_to_graph(tokens: list[str]) -> CompiledGraph:
+    """Build a linear graph from a token chain like ['io8','mul16',...]."""
     if not tokens:
         raise ValueError("a circuit path needs at least one token")
     vocab = _standard_vocab()
-    graph = CircuitGraph("path")
+    builder = GraphBuilder("path")
     prev = None
     for token in tokens:
         if token not in vocab:
             raise KeyError(f"token not in vocabulary: {token!r}")
         node_type, width = parse_token(token)
-        nid = graph.add_node(node_type, width)
+        nid = builder.add_node(node_type, width)
         if prev is not None:
-            graph.add_edge(prev, nid)
+            builder.add_edge(prev, nid)
         prev = nid
-    return graph
+    return builder.compile()
 
 
 def _standard_vocab() -> Vocabulary:

@@ -14,7 +14,7 @@ it to the same GraphIR the Python DSL produces.
 ...   assign y = acc;
 ... endmodule
 ... ''')
->>> sorted(n.token for n in graph.nodes())[:2]
+>>> sorted(graph.token_list)[:2]
 ['add16', 'dff16']
 """
 

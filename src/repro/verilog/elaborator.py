@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ast
-from ..graphir import CircuitGraph, CompiledGraph, GraphBuilder
+from ..graphir import CompiledGraph
 from ..hdl import Circuit, Signal
 from .parser import parse_source
 
@@ -34,22 +34,28 @@ class ElaborationError(ValueError):
     """Raised for semantic errors (undefined names, cycles, bad widths)."""
 
 
+def _module_def(file: ast.SourceFile, name: str) -> ast.ModuleDef:
+    try:
+        return file.module(name)
+    except KeyError as exc:
+        raise ElaborationError(exc.args[0]) from None
+
+
 def elaborate_source(source: str, top: str | None = None,
                      include_paths: list[str] | None = None,
                      defines: dict[str, str] | None = None, *,
-                     memo: "bool | ElaborationMemo" = True,
-                     compiled: bool = False) -> CircuitGraph | CompiledGraph:
+                     memo: "bool | ElaborationMemo" = True) -> CompiledGraph:
     """Parse and elaborate Verilog text; returns the top module's GraphIR.
 
     Sources containing preprocessor directives (backticks) run through
     the preprocessor first; ``include_paths`` and ``defines`` configure
-    it.  ``memo``/``compiled`` are forwarded to :func:`elaborate`.
+    it.  ``memo`` is forwarded to :func:`elaborate`.
     """
     if "`" in source or defines:
         from .preprocessor import preprocess
 
         source = preprocess(source, include_paths=include_paths, defines=defines)
-    return elaborate(parse_source(source), top, memo=memo, compiled=compiled)
+    return elaborate(parse_source(source), top, memo=memo)
 
 
 # ---------------------------------------------------------------------- #
@@ -224,8 +230,7 @@ class _Substituter:
 
 
 def elaborate(file: ast.SourceFile, top: str | None = None, *,
-              memo: bool | ElaborationMemo = True,
-              compiled: bool = False) -> CircuitGraph | CompiledGraph:
+              memo: bool | ElaborationMemo = True) -> CompiledGraph:
     """Elaborate a parsed source file.
 
     ``top`` defaults to the unique module that is never instantiated.
@@ -236,11 +241,6 @@ def elaborate(file: ast.SourceFile, top: str | None = None, *,
     asserted by the memoization test suite.  Pass an
     :class:`ElaborationMemo` to share templates across calls, or
     ``False`` to force the unmemoized walk.
-
-    ``compiled=True`` elaborates straight into a flat
-    :class:`repro.graphir.GraphBuilder` and returns a
-    :class:`CompiledGraph` (skipping the dict-graph construction
-    entirely); otherwise a :class:`CircuitGraph` is returned.
     """
     if not file.modules:
         raise ElaborationError("no modules in source")
@@ -256,8 +256,8 @@ def elaborate(file: ast.SourceFile, top: str | None = None, *,
                 f"cannot infer top module (candidates: {sorted(candidates)}); "
                 "pass top= explicitly")
         top = candidates[0]
-    module = file.module(top)
-    circuit = Circuit(top, graph=GraphBuilder(top)) if compiled else Circuit(top)
+    module = _module_def(file, top)
+    circuit = Circuit(top)
     if isinstance(memo, ElaborationMemo):
         memo_obj: ElaborationMemo | None = memo
     else:
@@ -265,9 +265,6 @@ def elaborate(file: ast.SourceFile, top: str | None = None, *,
     scope = _ModuleScope(file, module, circuit, params={}, depth=0,
                          memo=memo_obj)
     scope.elaborate_top()
-    if compiled:
-        circuit.finalize()
-        return circuit.graph.compile()
     return circuit.finalize()
 
 
@@ -425,7 +422,7 @@ class _ModuleScope:
         return regs
 
     def _elaborate_instance(self, inst: ast.Instance) -> None:
-        child_def = self.file.module(inst.module_name)
+        child_def = _module_def(self.file, inst.module_name)
         child_params = {name: self._const(expr) for name, expr in inst.param_overrides}
 
         connections = list(inst.connections)

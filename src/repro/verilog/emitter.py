@@ -17,7 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
-from ..graphir import CircuitGraph
+from ..graphir import CompiledGraph
 
 __all__ = ["emit_verilog"]
 
@@ -27,37 +27,38 @@ _BINARY_OPS = {"add": "+", "mul": "*", "div": "/", "mod": "%",
 _REDUCE_OPS = {"reduce_and": "&", "reduce_or": "|", "reduce_xor": "^"}
 
 
-def emit_verilog(graph: CircuitGraph, module_name: str | None = None) -> str:
+def emit_verilog(graph: CompiledGraph, module_name: str | None = None) -> str:
     """Render ``graph`` as a single flat Verilog module."""
     name = module_name or _sanitize(graph.name) or "top"
+    types = graph.type_names
+    widths = graph.widths.tolist()
+    preds = [graph.predecessors(nid) for nid in range(graph.num_nodes)]
     inputs, outputs, regs, combs = [], [], [], []
-    for node in graph.nodes():
-        if node.node_type == "io":
-            (inputs if not graph.predecessors(node.node_id) else outputs).append(node)
-        elif node.node_type == "dff":
-            regs.append(node)
+    for nid, t in enumerate(types):
+        if t == "io":
+            (outputs if preds[nid] else inputs).append(nid)
+        elif t == "dff":
+            regs.append(nid)
         else:
-            combs.append(node)
+            combs.append(nid)
 
     ports = ["input clk"]
-    ports += [f"input [{n.width - 1}:0] n{n.node_id}" for n in inputs]
-    ports += [f"output [{n.width - 1}:0] n{n.node_id}" for n in outputs]
+    ports += [f"input [{widths[n] - 1}:0] n{n}" for n in inputs]
+    ports += [f"output [{widths[n] - 1}:0] n{n}" for n in outputs]
 
     lines = [f"module {name}(", "  " + ",\n  ".join(ports), ");"]
-    for node in regs:
-        lines.append(f"  reg [{node.width - 1}:0] n{node.node_id};")
-    for node in combs:
-        lines.append(f"  wire [{node.width - 1}:0] n{node.node_id};")
+    for n in regs:
+        lines.append(f"  reg [{widths[n] - 1}:0] n{n};")
+    for n in combs:
+        lines.append(f"  wire [{widths[n] - 1}:0] n{n};")
 
-    for node in combs:
-        lines.append(f"  assign n{node.node_id} = {_expr(graph, node)};")
-    for node in outputs:
-        preds = graph.predecessors(node.node_id)
-        lines.append(f"  assign n{node.node_id} = n{preds[0]};")
-    for node in regs:
-        preds = graph.predecessors(node.node_id)
-        source = f"n{preds[0]}" if preds else f"n{node.node_id}"
-        lines.append(f"  always @(posedge clk) n{node.node_id} <= {source};")
+    for n in combs:
+        lines.append(f"  assign n{n} = {_expr(types[n], widths[n], preds[n])};")
+    for n in outputs:
+        lines.append(f"  assign n{n} = n{preds[n][0]};")
+    for n in regs:
+        source = f"n{preds[n][0]}" if preds[n] else f"n{n}"
+        lines.append(f"  always @(posedge clk) n{n} <= {source};")
     lines.append("endmodule")
     return "\n".join(lines)
 
@@ -68,10 +69,8 @@ def _slice(name: str, width: int) -> str:
     return f"{name}[{width - 1}:0]"
 
 
-def _expr(graph: CircuitGraph, node) -> str:
-    preds = [f"n{p}" for p in graph.predecessors(node.node_id)]
-    t = node.node_type
-    w = node.width
+def _expr(t: str, w: int, pred_ids: list[int]) -> str:
+    preds = [f"n{p}" for p in pred_ids]
     if t == "not":
         return f"~{_slice(preds[0], w)}" if preds else "0"
     if t in _REDUCE_OPS:

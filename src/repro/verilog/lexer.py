@@ -87,8 +87,12 @@ def tokenize(source: str) -> TokenStream:
     return TokenStream(kinds, texts, lines)
 
 
-def parse_number(text: str) -> tuple[int, int | None]:
-    """Parse a Verilog literal; returns (value, width or None)."""
+def parse_number(text: str, line: int | None = None) -> tuple[int, int | None]:
+    """Parse a Verilog literal; returns (value, width or None).
+
+    Digits outside the literal's base (``8'b102``) raise
+    :class:`VerilogSyntaxError`, naming ``line`` when given.
+    """
     if "'" not in text:
         return int(text), None
     width_str, rest = text.split("'", 1)
@@ -96,4 +100,9 @@ def parse_number(text: str) -> tuple[int, int | None]:
     digits = rest[1:].replace("_", "").replace("?", "0")
     digits = digits.replace("x", "0").replace("X", "0").replace("z", "0").replace("Z", "0")
     base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_char]
-    return int(digits, base), int(width_str)
+    try:
+        return int(digits, base), int(width_str)
+    except ValueError:
+        where = "" if line is None else f" at line {line}"
+        raise VerilogSyntaxError(
+            f"invalid base-{base} literal {text!r}{where}") from None

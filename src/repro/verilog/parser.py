@@ -376,7 +376,7 @@ class Parser:
             self._pos = pos + 1
             text = self._texts[pos]
             return (ast.Identifier(text) if kind == "IDENT"
-                    else ast.Number(*parse_number(text)))
+                    else ast.Number(*parse_number(text, self._lines[pos])))
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
@@ -415,7 +415,7 @@ class Parser:
         kind = self._kinds[pos]
         if kind == "NUMBER":
             self._pos = pos + 1
-            value, width = parse_number(self._texts[pos])
+            value, width = parse_number(self._texts[pos], self._lines[pos])
             return self._parse_selects(ast.Number(value, width))
         if kind == "IDENT":
             self._pos = pos + 1

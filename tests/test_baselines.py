@@ -11,7 +11,7 @@ from repro.baselines import (
     RidgeRegression,
     segment_mean_neighbors,
 )
-from repro.graphir import CircuitGraph
+from repro.graphir import CompiledGraph, GraphBuilder
 from repro.nn import Tensor
 
 
@@ -73,8 +73,8 @@ class TestPathCountLinear:
         assert (model.predict([("io8", "dff8")]) >= 0).all()
 
 
-def chain_graph(n_adders: int, width: int = 16) -> CircuitGraph:
-    g = CircuitGraph(f"chain{n_adders}")
+def chain_graph(n_adders: int, width: int = 16) -> CompiledGraph:
+    g = GraphBuilder(f"chain{n_adders}")
     prev = g.add_node("dff", width)
     for _ in range(n_adders):
         node = g.add_node("add", width)
@@ -82,7 +82,7 @@ def chain_graph(n_adders: int, width: int = 16) -> CircuitGraph:
         prev = node
     end = g.add_node("dff", width)
     g.add_edge(prev, end)
-    return g
+    return g.compile()
 
 
 class TestDesignStatsLinear:

@@ -135,7 +135,7 @@ class TestFrontendCacheConcurrency:
         """Many threads compile/read the same designs via one disk dir."""
         entries = [e for e in standard_designs()
                    if e.name in ("gpio16", "gpio32", "piecewise8")]
-        compiled = {e.name: e.module.elaborate_compiled() for e in entries}
+        compiled = {e.name: e.module.elaborate() for e in entries}
         keys = {name: fingerprint_frontend_module(entries[i].module)
                 for i, name in enumerate(compiled)}
         cache = FrontendCache(dir_store(tmp_path))
@@ -157,7 +157,7 @@ class TestFrontendCacheConcurrency:
         from repro.core import PathSampler
 
         entry = next(e for e in standard_designs() if e.name == "gpio16")
-        cg = entry.module.elaborate_compiled()
+        cg = entry.module.elaborate()
         sampler = PathSampler(k=5, max_paths=20, seed=0)
         expected = sampler.sample(cg)
         cache = FrontendCache(dir_store(tmp_path))

@@ -4,7 +4,9 @@
 ``repro: error: ...`` line naming the file (and the line, where the
 front end knows it) instead of a traceback, for a missing or unreadable
 file and for Verilog that fails to preprocess, parse or elaborate.
-``serve`` and ``dse`` do the same for their model file, ``export`` for
+``serve`` and ``dse`` do the same for their model file, and ``predict``,
+``dse`` and ``serve`` for a model file ``save_sns`` did not write
+(before any prediction, sweep or bind), ``export`` for
 an unknown design name, ``train``/``datagen``/``export`` for an output
 directory that does not exist (before any work), ``cache stats|gc``
 for a store path that does not exist (without creating it), and
@@ -174,3 +176,74 @@ def test_unusable_cache_dir(verb, case, tmp_path, capsys, monkeypatch):
             for a in CACHE_VERBS[verb]]
     assert main([*args, "--cache-dir", str(path)]) == 2
     assert_one_error_line(capsys.readouterr().err, path, expected)
+
+
+def test_compile_bad_literal(tmp_path, capsys):
+    design = tmp_path / "lit.v"
+    design.write_text("module m(input [7:0] a, output [7:0] y);\n"
+                      "  assign y = a + 8'b102;\nendmodule\n")
+    assert main(["compile", str(design)]) == 2
+    assert_one_error_line(capsys.readouterr().err, design,
+                          "invalid base-2 literal \"8'b102\" at line 2")
+
+
+def write_bad_model(path, kind) -> str:
+    """Write one kind of file ``load_sns`` must refuse; returns the reason
+    the error line must give."""
+    import json
+
+    import numpy as np
+
+    def header(doc):
+        return np.frombuffer(json.dumps(doc).encode(), np.uint8)
+
+    if kind == "text":
+        path.write_text("not a model\n")
+        return "not an .npz archive"
+    if kind == "truncated":
+        np.savez(path, __header__=header({"format_version": 1}),
+                 weights=np.zeros(256))
+        path.write_bytes(path.read_bytes()[:200])
+        return "not an .npz archive"
+    if kind == "no-header":
+        np.savez(path, weights=np.zeros(4))
+        return "no __header__ entry"
+    if kind == "npy":
+        with open(path, "wb") as f:
+            np.save(f, np.zeros(4))
+        return "not an .npz archive"
+    np.savez(path, __header__=header({"format_version": 99}))
+    return "unsupported format_version 99"
+
+
+MODEL_ARGS = {
+    "predict": ["predict", "{model}", "{design}"],
+    "dse": ["dse", "{model}"],
+    "serve": ["serve", "{model}", "--port", "0"],
+}
+
+
+@pytest.mark.parametrize("verb, kind", [
+    *(("predict", kind)
+      for kind in ("text", "truncated", "no-header", "version", "npy")),
+    ("dse", "text"), ("serve", "text")])
+def test_corrupt_model(verb, kind, tmp_path, capsys, monkeypatch):
+    import repro.boom
+    import repro.runtime
+    import repro.serve
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the model was checked")
+
+    monkeypatch.setattr(repro.runtime, "BatchPredictor", no_work)
+    monkeypatch.setattr(repro.boom, "BoomDSE", no_work)
+    monkeypatch.setattr(repro.serve.PredictionServer, "start", no_work)
+    design = tmp_path / "mac.v"
+    design.write_text("module mac(input clk, input [7:0] a, output [7:0] y);\n"
+                      "  reg [7:0] r;\n  always @(posedge clk) r <= r + a;\n"
+                      "  assign y = r;\nendmodule\n")
+    model = tmp_path / "model.npz"
+    reason = write_bad_model(model, kind)
+    assert main([a.format(model=model, design=design)
+                 for a in MODEL_ARGS[verb]]) == 2
+    assert_one_error_line(capsys.readouterr().err, model, reason)

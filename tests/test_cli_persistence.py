@@ -222,13 +222,12 @@ class TestCLIReportExport:
     def test_export_roundtrips_through_frontend(self, tmp_path, capsys):
         out_file = tmp_path / "gpio.v"
         assert main(["export", "gpio16", str(out_file)]) == 0
-        from repro.graphir import token_counts
         from repro.designs import get_design
         from repro.verilog import elaborate_source
         rebuilt = elaborate_source(out_file.read_text())
         original = get_design("gpio16").module.elaborate()
         strip_io = lambda c: {t: n for t, n in c.items() if not t.startswith("io")}
-        assert strip_io(token_counts(rebuilt)) == strip_io(token_counts(original))
+        assert strip_io(rebuilt.token_counts()) == strip_io(original.token_counts())
 
     def test_export_missing_args(self, capsys):
         assert main(["export"]) == 2

@@ -12,7 +12,6 @@ from repro.core import (
     CircuitformerConfig,
     PathSampler,
     TargetScaler,
-    design_features,
     encode_batch,
     format_table8,
     maep,
@@ -21,7 +20,7 @@ from repro.core import (
     rrse,
 )
 from repro.core.sampler import SampledPath
-from repro.graphir import CircuitGraph, Vocabulary
+from repro.graphir import GraphBuilder, Vocabulary
 
 
 class TestMetrics:
@@ -217,21 +216,14 @@ class TestAggregator:
             ))
         return out
 
-    def test_design_features_dim(self):
-        g = CircuitGraph()
-        a = g.add_node("io", 8)
-        d = g.add_node("dff", 8)
-        g.add_edge(a, d)
-        feats = design_features(g, np.array([1.0, 2.0, 3.0]))
-        assert np.isfinite(feats).all()
-
     def test_featurize_design(self):
         from repro.core import featurize_design
 
-        g = CircuitGraph()
-        a = g.add_node("io", 8)
-        d = g.add_node("dff", 8)
-        g.add_edge(a, d)
+        b = GraphBuilder()
+        a = b.add_node("io", 8)
+        d = b.add_node("dff", 8)
+        b.add_edge(a, d)
+        g = b.compile()
         preds = np.array([[10.0, 1.0, 0.1]])
         from repro.core.sampler import SampledPath
         paths = [SampledPath((a, d), ("io8", "dff8"))]

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PathSampler
-from repro.graphir import CircuitGraph
+from repro.graphir import CompiledGraph, GraphBuilder
 from repro.hdl import Circuit, adder_tree
 
 
-def figure2_graph() -> CircuitGraph:
+def figure2_graph() -> CompiledGraph:
     """Figure 2(b): two io8 -> mul16 -> add16 -> dff16 -> io16, with dff feedback."""
-    g = CircuitGraph("fig2")
+    g = GraphBuilder("fig2")
     a = g.add_node("io", 8)
     b = g.add_node("io", 8)
     mul = g.add_node("mul", 16)
@@ -25,7 +25,7 @@ def figure2_graph() -> CircuitGraph:
     g.add_edge(add, dff)
     g.add_edge(dff, add)   # accumulate feedback
     g.add_edge(dff, out)
-    return g
+    return g.compile()
 
 
 class TestSamplerBasics:
@@ -47,21 +47,21 @@ class TestSamplerBasics:
     def test_paths_start_and_end_sequential(self):
         g = figure2_graph()
         for p in PathSampler(k=1).sample(g):
-            assert g.node(p.node_ids[0]).is_sequential
-            assert g.node(p.node_ids[-1]).is_sequential
+            assert g.is_seq_list[p.node_ids[0]]
+            assert g.is_seq_list[p.node_ids[-1]]
 
     def test_interior_is_combinational(self):
         g = figure2_graph()
         for p in PathSampler(k=1).sample(g):
             for nid in p.node_ids[1:-1]:
-                assert not g.node(nid).is_sequential
+                assert not g.is_seq_list[nid]
 
     def test_node_ids_locate_path_in_design(self):
         """Section 2.2: a record is kept of where each path lives."""
         g = figure2_graph()
         for p in PathSampler(k=1).sample(g):
             for nid, token in zip(p.node_ids, p.tokens):
-                assert g.node(nid).token == token
+                assert g.token_list[nid] == token
             for src, dst in zip(p.node_ids, p.node_ids[1:]):
                 assert dst in g.successors(src)
 
@@ -78,7 +78,7 @@ class TestSamplerBasics:
             PathSampler(max_len=1)
 
     def test_empty_graph(self):
-        assert PathSampler().sample(CircuitGraph()) == []
+        assert PathSampler().sample(GraphBuilder().compile()) == []
 
     def test_no_duplicate_paths(self):
         c = Circuit()
@@ -92,14 +92,14 @@ class TestSamplerBasics:
 class TestSamplingControl:
     def _fanout_graph(self, width=16):
         """One dff source fanning out to many independent dff sinks."""
-        g = CircuitGraph()
+        g = GraphBuilder()
         src = g.add_node("dff", 8)
         for _ in range(width):
             mid = g.add_node("add", 8)
             sink = g.add_node("dff", 8)
             g.add_edge(src, mid)
             g.add_edge(mid, sink)
-        return g
+        return g.compile()
 
     def test_k_controls_sample_count_within_budget(self):
         g = self._fanout_graph(16)
@@ -136,15 +136,15 @@ class TestSamplingControl:
         assert len(paths) == 5
 
     def test_max_len_drops_long_paths(self):
-        g = CircuitGraph()
-        prev = g.add_node("dff", 8)
-        first = prev
+        b = GraphBuilder()
+        prev = b.add_node("dff", 8)
         for _ in range(30):
-            node = g.add_node("add", 8)
-            g.add_edge(prev, node)
+            node = b.add_node("add", 8)
+            b.add_edge(prev, node)
             prev = node
-        end = g.add_node("dff", 8)
-        g.add_edge(prev, end)
+        end = b.add_node("dff", 8)
+        b.add_edge(prev, end)
+        g = b.compile()
         short = PathSampler(k=1, max_len=10).sample(g)
         assert short == []
         full = PathSampler(k=1, max_len=64).sample(g)
@@ -175,5 +175,5 @@ class TestSamplingControl:
         g = c.finalize()
         for p in PathSampler(k=2, seed=seed).sample(g):
             assert len(p) >= 2
-            assert g.node(p.node_ids[0]).is_sequential
-            assert g.node(p.node_ids[-1]).is_sequential
+            assert g.is_seq_list[p.node_ids[0]]
+            assert g.is_seq_list[p.node_ids[-1]]

@@ -45,7 +45,7 @@ class TestModuleSweeps:
         delta = DeltaElaborator()
         for width in (8, 16, 24):
             cached = delta.compile(Blinker(width=width))
-            fresh = Blinker(width=width).elaborate_compiled()
+            fresh = Blinker(width=width).elaborate()
             assert cached.fingerprint() == fresh.fingerprint()
 
     def test_repeat_config_hits_graph_tier(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.designs import CacheController, DMAEngine
-from repro.graphir import token_counts
 from repro.synth import Synthesizer
 
 
@@ -27,7 +26,7 @@ class TestCacheController:
         assert a16 > 2 * a4
 
     def test_has_tag_comparators_per_way(self):
-        counts = token_counts(CacheController(ways=4, sets=4, tag_bits=20).elaborate())
+        counts = CacheController(ways=4, sets=4, tag_bits=20).elaborate().token_counts()
         # tag compare: one eq per way at the stored-tag width (20 -> eq16)
         assert counts["eq16"] >= 4
 
@@ -45,7 +44,7 @@ class TestDMAEngine:
         assert g8.num_nodes > 2 * g2.num_nodes
 
     def test_has_per_channel_counters(self):
-        counts = token_counts(DMAEngine(channels=4, addr_bits=32).elaborate())
+        counts = DMAEngine(channels=4, addr_bits=32).elaborate().token_counts()
         assert counts["dff32"] >= 4   # per-channel source address registers
         assert counts["dff16"] >= 5   # per-channel length + beat counters
 

@@ -15,7 +15,6 @@ from repro.diannao import (
     full_design_space,
     quantize_array,
 )
-from repro.graphir import token_counts
 from repro.synth import Synthesizer
 
 
@@ -55,7 +54,7 @@ class TestGenerator:
 
     def test_nfu1_multiplier_count(self):
         cfg = DianNaoConfig(tn=4, datatype="int16")
-        counts = token_counts(DianNao(cfg).elaborate())
+        counts = DianNao(cfg).elaborate().token_counts()
         mults = counts["mul32"]
         # Tn*Tn NFU-1 multipliers plus one per NFU-3 activation unit.
         assert mults == 4 * 4 + 4
@@ -76,14 +75,14 @@ class TestGenerator:
         synth = Synthesizer(effort="low")
         g3 = DianNao(DianNaoConfig(tn=4, pipeline_stages=3)).elaborate()
         g8 = DianNao(DianNaoConfig(tn=4, pipeline_stages=8)).elaborate()
-        c3, c8 = token_counts(g3), token_counts(g8)
+        c3, c8 = g3.token_counts(), g8.token_counts()
         assert sum(v for k, v in c8.items() if k.startswith("dff")) > \
             sum(v for k, v in c3.items() if k.startswith("dff"))
         assert synth.synthesize(g8).timing_ps < synth.synthesize(g3).timing_ps
 
     def test_nfu_stage_labels_present(self):
         g = DianNao(DianNaoConfig(tn=4)).elaborate()
-        labels = {n.label.split("_")[0] for n in g.nodes() if n.node_type == "dff"}
+        labels = {g.labels[nid].split("_")[0] for nid in g.ids_of_type("dff")}
         assert {"nfu1", "nfu2", "nfu3", "nbin", "sb"} <= labels
 
 
@@ -118,7 +117,7 @@ class TestPerfModel:
         m = DianNaoPerfModel()
         g = DianNao(cfg).elaborate()
         coeffs = m.activity_coefficients(g, m.simulate(cfg))
-        dffs = [n for n in g.nodes() if n.node_type == "dff"]
+        dffs = g.ids_of_type("dff")
         assert len(coeffs) >= 0.9 * len(dffs)
         assert all(0.0 <= v <= 1.0 for v in coeffs.values())
 

@@ -180,7 +180,7 @@ class TestEngineIntegration:
 
     def test_predict_many_with_frontend_cache_is_identical(self, tiny_sns):
         # Module inputs through the compiled front end + FrontendCache
-        # must match predictions on plain elaborated CircuitGraphs.
+        # must match predictions on plain elaborated graphs.
         sns, entries = tiny_sns
         modules = [e.module for e in entries]
         graphs = [e.module.elaborate() for e in entries]

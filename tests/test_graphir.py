@@ -9,13 +9,11 @@ from repro.graphir import (
     ARITH_TYPES,
     LOGIC_TYPES,
     NODE_TYPES,
-    CircuitGraph,
+    CompiledGraph,
+    GraphBuilder,
     Vocabulary,
     parse_token,
     round_width,
-    stats_vector,
-    structural_features,
-    token_counts,
     token_name,
 )
 
@@ -132,9 +130,9 @@ class TestVocabulary:
             vocab.encode(["mul7"])
 
 
-def make_mac_graph() -> CircuitGraph:
+def make_mac_graph() -> CompiledGraph:
     """The Figure 2 example: 8-bit multiply-add with output register."""
-    g = CircuitGraph("mac8")
+    g = GraphBuilder("mac8")
     a = g.add_node("io", 8, "a")
     b = g.add_node("io", 8, "b")
     mul = g.add_node("mul", 16, "mul")
@@ -146,14 +144,14 @@ def make_mac_graph() -> CircuitGraph:
     g.add_edge(mul, add)
     g.add_edge(add, dff)
     g.add_edge(dff, out)
-    return g
+    return g.compile()
 
 
 class TestCircuitGraph:
     def test_figure2_tokens(self):
         g = make_mac_graph()
-        tokens = sorted(n.token for n in g.nodes())
-        assert tokens == sorted(["io8", "io8", "mul16", "add16", "dff16", "io16"])
+        assert sorted(g.token_list) == sorted(
+            ["io8", "io8", "mul16", "add16", "dff16", "io16"])
 
     def test_counts(self):
         g = make_mac_graph()
@@ -162,68 +160,64 @@ class TestCircuitGraph:
 
     def test_adjacency(self):
         g = make_mac_graph()
-        mul_id = next(n.node_id for n in g.nodes() if n.node_type == "mul")
-        add_id = next(n.node_id for n in g.nodes() if n.node_type == "add")
+        [mul_id] = g.ids_of_type("mul")
+        [add_id] = g.ids_of_type("add")
         assert g.successors(mul_id) == [add_id]
         assert mul_id in g.predecessors(add_id)
 
+    def test_edges_are_source_major(self):
+        b = GraphBuilder()
+        for _ in range(3):
+            b.add_node("io", 8)
+        b.add_edge(2, 0)
+        b.add_edge(0, 2)
+        b.add_edge(1, 0)
+        b.add_edge(0, 1)
+        assert b.compile().edges() == [(0, 2), (0, 1), (1, 0), (2, 0)]
+
+    def test_type_names(self):
+        assert make_mac_graph().type_names == ["io", "io", "mul", "add",
+                                               "dff", "io"]
+
     def test_parallel_edges_collapse(self):
-        g = CircuitGraph()
+        g = GraphBuilder()
         a = g.add_node("io", 8)
         b = g.add_node("dff", 8)
         g.add_edge(a, b)
         g.add_edge(a, b)
-        assert g.num_edges == 1
+        assert g.compile().num_edges == 1
 
     def test_edge_to_missing_node_raises(self):
-        g = CircuitGraph()
+        g = GraphBuilder()
         a = g.add_node("io", 8)
         with pytest.raises(KeyError):
             g.add_edge(a, 99)
 
     def test_sequential_ids(self):
         g = make_mac_graph()
-        seq_types = {g.node(i).node_type for i in g.sequential_ids()}
-        assert seq_types == {"io", "dff"}
-        assert len(g.sequential_ids()) == 4
+        seq = np.flatnonzero(g.is_sequential).tolist()
+        assert {g.type_names[i] for i in seq} == {"io", "dff"}
+        assert len(seq) == 4
 
     def test_source_ids_excludes_sinks(self):
         g = make_mac_graph()
         sources = g.source_ids()
         # the final io16 output has no successors -> not a source
-        out_id = next(n.node_id for n in g.nodes() if n.token == "io16")
+        out_id = g.token_list.index("io16")
         assert out_id not in sources
 
     def test_invalid_node_type(self):
-        g = CircuitGraph()
+        g = GraphBuilder()
         with pytest.raises(ValueError):
             g.add_node("nand", 8)
-
-    def test_merge_remaps(self):
-        g1 = make_mac_graph()
-        g2 = make_mac_graph()
-        n_before = g1.num_nodes
-        remap = g1.merge(g2)
-        assert g1.num_nodes == 2 * n_before
-        assert g1.num_edges == 10
-        assert len(remap) == n_before
-        g1.validate()
 
     def test_validate_passes_on_clean_graph(self):
         make_mac_graph().validate()
 
-    def test_to_networkx(self):
-        g = make_mac_graph()
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 6
-        assert nxg.number_of_edges() == 5
-        import networkx as nx
-        assert nx.is_directed_acyclic_graph(nxg)
-
 
 class TestStats:
     def test_token_counts_match_figure2(self):
-        counts = token_counts(make_mac_graph())
+        counts = make_mac_graph().token_counts()
         assert counts["io8"] == 2
         assert counts["mul16"] == 1
         assert counts["add16"] == 1
@@ -232,13 +226,12 @@ class TestStats:
 
     def test_stats_vector_length_and_sum(self):
         g = make_mac_graph()
-        vec = stats_vector(g)
+        vec = g.stats_vector()
         assert vec.shape == (79,)
         assert vec.sum() == g.num_nodes
 
     def test_structural_features(self):
-        g = make_mac_graph()
-        feats = structural_features(g)
+        feats = make_mac_graph().structural_features()
         assert feats[0] == 6  # nodes
         assert feats[1] == 5  # edges
         assert feats[2] == 4  # sequential
@@ -246,15 +239,15 @@ class TestStats:
         assert feats[5] == 16  # max width
 
     def test_empty_graph_features_are_zero(self):
-        feats = structural_features(CircuitGraph())
+        feats = GraphBuilder().compile().structural_features()
         np.testing.assert_array_equal(feats, np.zeros(6))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 30))
     def test_property_stats_sum_equals_nodes(self, n):
-        g = CircuitGraph()
+        g = GraphBuilder()
         rng = np.random.default_rng(n)
         for _ in range(n):
             t = NODE_TYPES[rng.integers(len(NODE_TYPES))]
             g.add_node(t, int(rng.integers(1, 65)))
-        assert stats_vector(g).sum() == n
+        assert g.compile().stats_vector().sum() == n

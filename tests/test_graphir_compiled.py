@@ -1,20 +1,21 @@
-"""Parity tests for the compiled (CSR) GraphIR layer.
+"""Parity tests for the GraphIR arrays.
 
 The contract under test: a :class:`CompiledGraph` is *exactly* the
-dict :class:`CircuitGraph` in array form — same statistics, same
-fingerprint, same adjacency (content and order), same serialized
-structure — across every registry design.
+dict-of-lists reference graph (``tests/oracles/graph.py``) in array form
+— same statistics, same fingerprint, same adjacency (content and order),
+same serialized structure — across every registry design.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.designs import standard_designs
-from repro.graphir import (CircuitGraph, CompiledGraph, GraphBuilder,
-                           Vocabulary, as_compiled, compile_graph,
-                           stats_vector, structural_features, to_json,
-                           token_counts, weighted_features)
+from repro.graphir import (CompiledGraph, GraphBuilder, Vocabulary, from_json,
+                           to_json)
 from repro.runtime.fingerprint import fingerprint_graph
+from tests.oracles import graph as oracle
 
 DESIGNS = standard_designs()
 
@@ -27,61 +28,45 @@ def elaborated():
 class TestCompiledParity:
     def test_stats_match_reference_on_every_registry_design(self, elaborated):
         vocab = Vocabulary.standard()
-        for name, graph in elaborated:
-            cg = compile_graph(graph)
-            assert token_counts(cg) == token_counts(graph), name
+        for name, cg in elaborated:
+            ref = oracle.DictGraph(cg)
+            assert cg.token_counts() == oracle.token_counts(ref), name
             np.testing.assert_array_equal(
-                stats_vector(cg, vocab), stats_vector(graph, vocab), err_msg=name)
+                cg.stats_vector(vocab), oracle.stats_vector(ref, vocab),
+                err_msg=name)
             np.testing.assert_array_equal(
-                structural_features(cg), structural_features(graph), err_msg=name)
+                cg.structural_features(), oracle.structural_features(ref),
+                err_msg=name)
             np.testing.assert_array_equal(
-                weighted_features(cg), weighted_features(graph), err_msg=name)
+                cg.weighted_features(), oracle.weighted_features(ref),
+                err_msg=name)
 
     def test_fingerprint_matches_reference(self, elaborated):
-        for name, graph in elaborated:
-            cg = compile_graph(graph)
-            assert fingerprint_graph(cg) == fingerprint_graph(graph), name
+        for name, cg in elaborated:
+            assert fingerprint_graph(cg) == oracle.fingerprint(
+                oracle.DictGraph(cg)), name
 
     def test_adjacency_and_roundtrip(self, elaborated):
-        for name, graph in elaborated:
-            cg = compile_graph(graph)
-            for nid in graph.node_ids():
-                assert cg.successors(nid) == graph.successors(nid), name
-            assert cg.source_ids() == graph.source_ids(), name
-            assert to_json(cg.to_circuit_graph()) == to_json(graph), name
+        for name, cg in elaborated:
+            ref = oracle.DictGraph(cg)
+            for nid in range(cg.num_nodes):
+                assert cg.successors(nid) == ref.successors(nid), name
+                assert cg.predecessors(nid) == ref.predecessors(nid), name
+            assert cg.edges() == ref.edges(), name
+            assert cg.source_ids() == ref.source_ids(), name
+            assert cg.token_list == [n.token for n in ref.nodes()], name
+            text = to_json(cg)
+            assert to_json(from_json(text)) == text, name
 
     def test_payload_roundtrip(self, elaborated):
-        _, graph = elaborated[0]
-        cg = compile_graph(graph)
+        _, cg = elaborated[0]
         clone = CompiledGraph.from_payload(cg.to_payload())
         assert clone.fingerprint() == cg.fingerprint()
         assert clone.name == cg.name
         assert clone.labels == cg.labels
 
-    def test_compile_is_memoized_per_instance(self, elaborated):
-        _, graph = elaborated[0]
-        assert compile_graph(graph) is compile_graph(graph)
-
-    def test_as_compiled_dispatch(self, elaborated):
-        _, graph = elaborated[0]
-        cg = as_compiled(graph)
-        assert isinstance(cg, CompiledGraph)
-        assert as_compiled(cg) is cg
-        # Module input routes through elaborate_compiled().
-        entry = DESIGNS[0]
-        cg2 = as_compiled(entry.module)
-        assert cg2.fingerprint() == fingerprint_graph(entry.module.elaborate())
-
 
 class TestGraphBuilder:
-    def test_builder_elaboration_identical_to_dict(self):
-        # Every registry Module built twice — once on the dict graph,
-        # once on the flat builder — must produce the same structure.
-        for entry in DESIGNS:
-            ref = entry.module.elaborate()
-            cg = entry.module.elaborate_compiled()
-            assert to_json(cg.to_circuit_graph()) == to_json(ref), entry.name
-
     def test_builder_validates_nodes_and_edges(self):
         b = GraphBuilder("t")
         with pytest.raises(ValueError):
@@ -103,19 +88,8 @@ class TestGraphBuilder:
 
 class TestCompileGuards:
     def test_noncontiguous_ids_rejected(self):
-        g = CircuitGraph("gap")
-        g.add_node("io", 8)
-        g.add_node("io", 8)
-        del g._nodes[0]  # leave node id 1 at position 0
-        with pytest.raises(ValueError):
-            compile_graph(g, memo=False)
-
-    def test_memo_invalidated_by_mutation(self):
-        g = CircuitGraph("grow")
-        a = g.add_node("io", 8)
-        cg1 = compile_graph(g)
-        b = g.add_node("dff", 8)
-        g.add_edge(a, b)
-        cg2 = compile_graph(g)
-        assert cg2 is not cg1
-        assert cg2.num_nodes == 2 and cg2.num_edges == 1
+        doc = {"format": "repro-graphir", "version": 1, "name": "gap",
+               "nodes": [{"id": 1, "type": "io", "width": 8, "label": ""}],
+               "edges": []}
+        with pytest.raises(ValueError, match="non-contiguous"):
+            from_json(json.dumps(doc))

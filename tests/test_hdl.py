@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphir import token_counts
 from repro.hdl import (
     Circuit,
     Module,
@@ -65,36 +64,37 @@ class TestSignalOps:
 
     def test_compare_node_width_is_operand_width(self):
         eq = self.a.eq(self.b)
-        node = self.c.graph.node(eq.node_id)
-        assert node.node_type == "eq"
-        assert node.width == 8
+        g = self.c.finalize()
+        assert g.type_names[eq.node_id] == "eq"
+        assert g.widths[eq.node_id] == 8
 
     def test_reduce_ops(self):
         for red in (self.a.reduce_and(), self.a.reduce_or(), self.a.reduce_xor()):
             assert red.width == 1
 
     def test_constant_operand_adds_no_node(self):
-        before = self.c.graph.num_nodes
+        before = self.c.graph.next_node_id
         _ = self.a + 3
-        assert self.c.graph.num_nodes == before + 1  # only the adder
+        assert self.c.graph.next_node_id == before + 1  # only the adder
 
     def test_bitwise_types(self):
         ops = {"and": self.a & self.b, "or": self.a | self.b,
                "xor": self.a ^ self.b, "not": ~self.a}
+        g = self.c.finalize()
         for expected_type, sig in ops.items():
-            assert self.c.graph.node(sig.node_id).node_type == expected_type
+            assert g.type_names[sig.node_id] == expected_type
 
     def test_shift(self):
         sh = self.a << 2
-        assert self.c.graph.node(sh.node_id).node_type == "sh"
+        assert self.c.finalize().type_names[sh.node_id] == "sh"
         assert sh.width == 8
 
     def test_resized_is_free(self):
-        before = self.c.graph.num_nodes
+        before = self.c.graph.next_node_id
         r = self.a.resized(16)
         assert r.width == 16
         assert r.node_id == self.a.node_id
-        assert self.c.graph.num_nodes == before
+        assert self.c.graph.next_node_id == before
 
     def test_cross_circuit_mixing_raises(self):
         other = Circuit("o")
@@ -111,16 +111,16 @@ class TestCircuit:
         b = c.input("b", 8)
         m = c.mux(sel, a, b)
         assert m.width == 8
-        assert c.graph.node(m.node_id).node_type == "mux"
-        assert len(c.graph.predecessors(m.node_id)) == 3
+        g = c.finalize()
+        assert g.type_names[m.node_id] == "mux"
+        assert len(g.predecessors(m.node_id)) == 3
 
     def test_reg_feedback_loop(self):
         c = Circuit()
         a = c.input("a", 8)
         acc = c.reg_declare(8, "acc")
         c.connect_next(acc, acc + a)
-        assert len(c.graph.predecessors(acc.node_id)) == 1
-        c.finalize()
+        assert len(c.finalize().predecessors(acc.node_id)) == 1
 
     def test_connect_next_rejects_plain_reg(self):
         c = Circuit()
@@ -133,13 +133,13 @@ class TestCircuit:
         c = Circuit()
         a = c.input("a", 8)
         out = c.output("y", a)
-        assert a.node_id in c.graph.predecessors(out.node_id)
+        assert a.node_id in c.finalize().predecessors(out.node_id)
 
 
 class TestModule:
     def test_mac_elaborates_figure2_shape(self):
         g = Mac(width=8).elaborate()
-        counts = token_counts(g)
+        counts = g.token_counts()
         assert counts["io8"] == 2
         assert counts["mul16"] == 1
         assert counts["dff16"] == 1
@@ -150,7 +150,7 @@ class TestModule:
     def test_elaborate_is_deterministic(self):
         g1 = Mac(width=8).elaborate()
         g2 = Mac(width=8).elaborate()
-        assert token_counts(g1) == token_counts(g2)
+        assert g1.token_counts() == g2.token_counts()
         assert g1.num_edges == g2.num_edges
 
     def test_abstract_build_raises(self):
@@ -166,12 +166,12 @@ class TestStructures:
         c = Circuit()
         sigs = self._inputs(c, 8)
         adder_tree(c, sigs)
-        assert token_counts(c.graph)["add8"] == 7  # n-1 adders
+        assert c.finalize().token_counts()["add8"] == 7  # n-1 adders
 
     def test_adder_tree_odd(self):
         c = Circuit()
         adder_tree(c, self._inputs(c, 5))
-        assert token_counts(c.graph)["add8"] == 4
+        assert c.finalize().token_counts()["add8"] == 4
 
     def test_adder_tree_single_passthrough(self):
         c = Circuit()
@@ -187,13 +187,13 @@ class TestStructures:
         c = Circuit()
         sel = c.input("sel", 3)
         mux_tree(c, sel, self._inputs(c, 8))
-        assert token_counts(c.graph)["mux8"] == 7
+        assert c.finalize().token_counts()["mux8"] == 7
 
     def test_reduce_tree_ops(self):
         for op, token in [("and", "and8"), ("or", "or8"), ("xor", "xor8")]:
             c = Circuit()
             reduce_tree(c, self._inputs(c, 4), op)
-            assert token_counts(c.graph)[token] == 3
+            assert c.finalize().token_counts()[token] == 3
 
     def test_reduce_tree_bad_op(self):
         c = Circuit()
@@ -203,7 +203,7 @@ class TestStructures:
     def test_max_tree(self):
         c = Circuit()
         max_tree(c, self._inputs(c, 4))
-        counts = token_counts(c.graph)
+        counts = c.finalize().token_counts()
         assert counts["mux8"] == 3
         assert counts["lgt8"] == 3
 
@@ -213,7 +213,7 @@ class TestStructures:
         wa = c.input("wa", 3)
         ra = c.input("ra", 3)
         register_file(c, wd, wa, ra, depth=8)
-        counts = token_counts(c.graph)
+        counts = c.finalize().token_counts()
         assert counts["dff16"] == 8
         assert counts["eq8"] == 8  # write decode (addr width 3 rounds to 8... node width is max operand width)
 
@@ -221,27 +221,27 @@ class TestStructures:
         c = Circuit()
         d = c.input("d", 8)
         fifo(c, d, depth=5)
-        assert token_counts(c.graph)["dff8"] == 5
+        assert c.finalize().token_counts()["dff8"] == 5
 
     def test_counter_has_feedback(self):
         c = Circuit()
         q = counter(c, 8)
-        preds = c.graph.predecessors(q.node_id)
+        g = c.finalize()
+        preds = g.predecessors(q.node_id)
         assert len(preds) == 1
-        assert c.graph.node(preds[0]).node_type == "add"
+        assert g.type_names[preds[0]] == "add"
 
     def test_shift_register_taps(self):
         c = Circuit()
         d = c.input("d", 4)
         taps = shift_register(c, d, stages=3)
         assert len(taps) == 3
-        assert token_counts(c.graph)["dff4"] == 3
+        assert c.finalize().token_counts()["dff4"] == 3
 
     def test_lfsr_elaborates(self):
         c = Circuit()
         lfsr(c, 16)
-        c.finalize()
-        assert token_counts(c.graph)["dff16"] == 1
+        assert c.finalize().token_counts()["dff16"] == 1
 
     def test_priority_arbiter(self):
         c = Circuit()
@@ -261,7 +261,7 @@ class TestStructures:
         c = Circuit()
         sigs = [c.input(f"i{k}", 8) for k in range(n)]
         adder_tree(c, sigs)
-        assert token_counts(c.graph)["add8"] == n - 1
+        assert c.finalize().token_counts()["add8"] == n - 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 32))
@@ -270,4 +270,4 @@ class TestStructures:
         sel = c.input("sel", 6)
         sigs = [c.input(f"i{k}", 8) for k in range(n)]
         mux_tree(c, sel, sigs)
-        assert token_counts(c.graph)["mux8"] == n - 1
+        assert c.finalize().token_counts()["mux8"] == n - 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tests.test_synth_properties import random_pipeline_graph
 
-from repro.graphir import CircuitGraph
+from repro.graphir import CompiledGraph, GraphBuilder
 from repro.synth import (
     FREEPDK15,
     MappedNetlist,
@@ -17,9 +17,9 @@ from repro.synth import (
 )
 
 
-def unbalanced_pipeline() -> CircuitGraph:
+def unbalanced_pipeline() -> CompiledGraph:
     """Deep front stage (mul chain) into a register, then a shallow stage."""
-    g = CircuitGraph("unbalanced")
+    g = GraphBuilder("unbalanced")
     src = g.add_node("dff", 16)
     deep = src
     for _ in range(3):
@@ -32,7 +32,7 @@ def unbalanced_pipeline() -> CircuitGraph:
     g.add_edge(mid, shallow)
     sink = g.add_node("dff", 16)
     g.add_edge(shallow, sink)
-    return g
+    return g.compile()
 
 
 class TestRetiming:
@@ -54,7 +54,7 @@ class TestRetiming:
     def test_balanced_pipeline_untouched(self):
         """A well-balanced pipeline has nothing to gain; rollback leaves
         it equivalent."""
-        g = CircuitGraph("balanced")
+        g = GraphBuilder("balanced")
         prev = g.add_node("dff", 16)
         for _ in range(3):
             node = g.add_node("add", 16)
@@ -62,7 +62,7 @@ class TestRetiming:
             reg = g.add_node("dff", 16)
             g.add_edge(node, reg)
             prev = reg
-        net = MappedNetlist.from_graphir(g)
+        net = MappedNetlist.from_graphir(g.compile())
         before = static_timing_analysis(net, FREEPDK15).critical_path_ps
         retime_backward(net, FREEPDK15, max_moves=5)
         after = static_timing_analysis(net, FREEPDK15).critical_path_ps
@@ -70,13 +70,13 @@ class TestRetiming:
 
     def test_rollback_restores_netlist(self):
         """When no move helps, cell/edge counts come back unchanged."""
-        g = CircuitGraph("flat")
+        g = GraphBuilder("flat")
         a = g.add_node("dff", 8)
         x = g.add_node("xor", 8)
         d = g.add_node("dff", 8)
         g.add_edge(a, x)
         g.add_edge(x, d)
-        net = MappedNetlist.from_graphir(g)
+        net = MappedNetlist.from_graphir(g.compile())
         cells_before = net.num_cells
         edges_before = net.num_edges
         retime_backward(net, FREEPDK15, max_moves=3)

@@ -210,7 +210,8 @@ class TestCache:
         engine = BatchPredictor(sns)
         graph = graphs[0]
         engine.predict_batch([graph])
-        activity = {nid: 0.001 for nid in graph.sequential_ids()}
+        activity = {nid: 0.001
+                    for nid in np.flatnonzero(graph.is_sequential).tolist()}
         gated = engine.predict_batch([graph], activity_maps=[activity])
         assert engine.store.counters(("prediction",))["misses"] == 2
         assert gated[0].power_mw <= engine.predict_batch([graph])[0].power_mw

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.designs import SodorCore
-from repro.graphir import CircuitGraph, from_json, load_graph, save_graph, to_json, token_counts
+from repro.graphir import GraphBuilder, from_json, load_graph, save_graph, to_json
 from repro.nn import (
     Adam,
     CosineAnnealingLR,
@@ -21,33 +21,32 @@ from repro.nn import (
 
 class TestGraphJSON:
     def _mac(self):
-        g = CircuitGraph("mac8")
+        g = GraphBuilder("mac8")
         a = g.add_node("io", 8, "a")
         m = g.add_node("mul", 16, "m")
         d = g.add_node("dff", 16, "acc")
         g.add_edge(a, m)
         g.add_edge(m, d)
         g.add_edge(d, m)
-        return g
+        return g.compile()
 
     def test_roundtrip_preserves_everything(self):
         g = self._mac()
         g2 = from_json(to_json(g))
         assert g2.name == g.name
-        assert token_counts(g2) == token_counts(g)
+        assert g2.token_counts() == g.token_counts()
         assert sorted(g2.edges()) == sorted(g.edges())
-        assert [n.label for n in g2.nodes()] == [n.label for n in g.nodes()]
+        assert g2.labels == g.labels
 
     def test_node_ids_preserved(self):
         g = self._mac()
         g2 = from_json(to_json(g))
-        for n in g.nodes():
-            assert g2.node(n.node_id).node_type == n.node_type
+        assert g2.type_names == g.type_names
 
     def test_real_design_roundtrip(self):
         g = SodorCore(xlen=32).elaborate()
         g2 = from_json(to_json(g))
-        assert token_counts(g2) == token_counts(g)
+        assert g2.token_counts() == g.token_counts()
         assert g2.num_edges == g.num_edges
 
     def test_file_roundtrip(self, tmp_path):
@@ -55,7 +54,7 @@ class TestGraphJSON:
         path = tmp_path / "mac.json"
         save_graph(g, path)
         g2 = load_graph(path)
-        assert token_counts(g2) == token_counts(g)
+        assert g2.token_counts() == g.token_counts()
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match="format"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphir import CircuitGraph
+from repro.graphir import CompiledGraph, GraphBuilder
 from repro.hdl import Circuit, Module, adder_tree
 from repro.synth import (
     FREEPDK15,
@@ -23,9 +23,9 @@ from repro.synth import (
 )
 
 
-def mac_graph(order="mul_first") -> CircuitGraph:
+def mac_graph(order="mul_first") -> CompiledGraph:
     """Chain io8 -> (mul16 -> add16 | add16 -> mul16) -> dff16 -> io16."""
-    g = CircuitGraph("chain")
+    g = GraphBuilder("chain")
     a = g.add_node("io", 8)
     first = g.add_node("mul" if order == "mul_first" else "add", 16)
     second = g.add_node("add" if order == "mul_first" else "mul", 16)
@@ -35,7 +35,7 @@ def mac_graph(order="mul_first") -> CircuitGraph:
     g.add_edge(first, second)
     g.add_edge(second, d)
     g.add_edge(d, o)
-    return g
+    return g.compile()
 
 
 class TestLibrary:
@@ -112,7 +112,7 @@ class TestPasses:
         assert mac_fusion(net) == 0
 
     def test_no_fusion_when_mul_has_other_consumers(self):
-        g = CircuitGraph()
+        g = GraphBuilder()
         a = g.add_node("io", 8)
         m = g.add_node("mul", 16)
         add = g.add_node("add", 16)
@@ -120,16 +120,16 @@ class TestPasses:
         g.add_edge(a, m)
         g.add_edge(m, add)
         g.add_edge(m, other)
-        net = MappedNetlist.from_graphir(g)
+        net = MappedNetlist.from_graphir(g.compile())
         assert mac_fusion(net) == 0
 
     def test_buffer_insertion_splits_fanout(self):
-        g = CircuitGraph()
+        g = GraphBuilder()
         src = g.add_node("dff", 8)
         for _ in range(20):
             sink = g.add_node("xor", 8)
             g.add_edge(src, sink)
-        net = MappedNetlist.from_graphir(g)
+        net = MappedNetlist.from_graphir(g.compile())
         added = buffer_insertion(net)
         assert added > 0
         assert all(len(net.succ[cid]) <= 6 for cid in net.cells)
@@ -166,12 +166,12 @@ class TestSTA:
         assert piped.timing_ps < deep.timing_ps
 
     def test_combinational_loop_detected(self):
-        g = CircuitGraph()
+        g = GraphBuilder()
         a = g.add_node("and", 8)
         b = g.add_node("or", 8)
         g.add_edge(a, b)
         g.add_edge(b, a)
-        net = MappedNetlist.from_graphir(g)
+        net = MappedNetlist.from_graphir(g.compile())
         with pytest.raises(ValueError, match="combinational loop"):
             static_timing_analysis(net, FREEPDK15)
 

@@ -14,7 +14,7 @@ import pytest
 from repro.datagen import (build_design_dataset, build_design_dataset_profiled,
                            sample_path_dataset)
 from repro.designs import standard_designs
-from repro.graphir import CircuitGraph, Vocabulary
+from repro.graphir import CompiledGraph, GraphBuilder, Vocabulary
 from repro.runtime.parallel import _synthesize_one_entry
 from repro.store import ArtifactStore, DirectoryBackend
 from repro.synth import (FREEPDK15, MappedNetlist, SynthesisResult, Synthesizer,
@@ -119,8 +119,8 @@ def test_array_sta_rejects_combinational_loop():
 # ---------------------------------------------------------------------- #
 # Full-synthesizer parity (incremental sizing + fusion pre-scan)
 # ---------------------------------------------------------------------- #
-def random_graph(rng: np.random.Generator, num_nodes: int = 30) -> CircuitGraph:
-    graph = CircuitGraph("random")
+def random_graph(rng: np.random.Generator, num_nodes: int = 30) -> CompiledGraph:
+    graph = GraphBuilder("random")
     for i in range(num_nodes):
         if i < 2 or rng.random() < 0.25:
             graph.add_node("dff" if rng.random() < 0.7 else "io",
@@ -131,7 +131,7 @@ def random_graph(rng: np.random.Generator, num_nodes: int = 30) -> CircuitGraph:
         for src in rng.choice(nid, size=min(nid, int(rng.integers(1, 4))),
                               replace=False):
             graph.add_edge(int(src), nid)
-    return graph
+    return graph.compile()
 
 
 @pytest.mark.parametrize("effort", ["low", "medium", "high"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphir import CircuitGraph
+from repro.graphir import CompiledGraph, GraphBuilder
 from repro.synth import (
     FREEPDK15,
     MappedNetlist,
@@ -20,9 +20,9 @@ COMB_TYPES = ["add", "mul", "xor", "and", "or", "mux", "sh", "eq"]
 
 
 def random_pipeline_graph(rng: np.random.Generator, n_layers: int,
-                          layer_width: int) -> CircuitGraph:
+                          layer_width: int) -> CompiledGraph:
     """A layered DAG: io sources -> comb layers -> dff sinks."""
-    g = CircuitGraph("random")
+    g = GraphBuilder("random")
     prev = [g.add_node("io", int(rng.choice([8, 16, 32]))) for _ in range(layer_width)]
     for _ in range(n_layers):
         layer = []
@@ -37,7 +37,7 @@ def random_pipeline_graph(rng: np.random.Generator, n_layers: int,
     for node in prev:
         sink = g.add_node("dff", 16)
         g.add_edge(node, sink)
-    return g
+    return g.compile()
 
 
 @settings(max_examples=20, deadline=None)
@@ -130,5 +130,5 @@ def test_property_power_gating_only_reduces(seed):
     g = random_pipeline_graph(np.random.default_rng(seed), 2, 3)
     synth = Synthesizer(effort="low")
     base = synth.synthesize(g)
-    gated = synth.synthesize(g, activity={nid: 0.0 for nid in g.sequential_ids()})
+    gated = synth.synthesize(g, activity={nid: 0.0 for nid in np.flatnonzero(g.is_sequential).tolist()})
     assert gated.power_mw <= base.power_mw + 1e-12

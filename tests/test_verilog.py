@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graphir import token_counts
 from repro.synth import Synthesizer
 from repro.verilog import (
     ElaborationError,
@@ -128,7 +127,7 @@ class TestParser:
 class TestElaborator:
     def test_mac_produces_figure2_graphir(self):
         g = elaborate_source(MAC_SRC)
-        counts = token_counts(g)
+        counts = g.token_counts()
         assert counts["io8"] == 2
         assert counts["mul16"] == 1
         assert counts["add16"] == 1
@@ -137,10 +136,10 @@ class TestElaborator:
 
     def test_feedback_register_loop(self):
         g = elaborate_source(MAC_SRC)
-        dff = next(n for n in g.nodes() if n.node_type == "dff")
-        add = next(n for n in g.nodes() if n.node_type == "add")
-        assert add.node_id in g.predecessors(dff.node_id)
-        assert dff.node_id in g.predecessors(add.node_id)
+        [dff] = g.ids_of_type("dff")
+        [add] = g.ids_of_type("add")
+        assert add in g.predecessors(dff)
+        assert dff in g.predecessors(add)
 
     def test_parameters_resolve_widths(self):
         g = elaborate_source("""
@@ -148,7 +147,7 @@ class TestElaborator:
           assign y = x + 1;
         endmodule
         """)
-        assert token_counts(g)["add32"] == 1
+        assert g.token_counts()["add32"] == 1
 
     def test_hierarchy_flattens(self):
         g = elaborate_source("""
@@ -161,7 +160,7 @@ class TestElaborator:
           leaf l2 (.x(mid), .y(o));
         endmodule
         """)
-        counts = token_counts(g)
+        counts = g.token_counts()
         assert counts["mul16"] == 2  # one multiplier per instance
 
     def test_parameter_override_in_instance(self):
@@ -173,7 +172,7 @@ class TestElaborator:
           leaf #(.W(32)) wide (.x(a), .y(o));
         endmodule
         """)
-        assert token_counts(g)["add32"] == 1
+        assert g.token_counts()["add32"] == 1
 
     def test_ternary_becomes_mux(self):
         g = elaborate_source("""
@@ -181,7 +180,7 @@ class TestElaborator:
           assign y = s ? a : b;
         endmodule
         """)
-        assert token_counts(g)["mux8"] == 1
+        assert g.token_counts()["mux8"] == 1
 
     def test_comparisons_and_reductions(self):
         g = elaborate_source("""
@@ -189,7 +188,7 @@ class TestElaborator:
           assign y = (a == b) | (a < b) | (^a);
         endmodule
         """)
-        counts = token_counts(g)
+        counts = g.token_counts()
         assert counts["eq16"] == 1
         assert counts["lgt16"] == 1
         assert counts["reduce_xor16"] == 1
@@ -222,7 +221,7 @@ class TestElaborator:
           assign q = count;
         endmodule
         """)
-        assert token_counts(g)["dff8"] == 1
+        assert g.token_counts()["dff8"] == 1
 
     def test_undeclared_register(self):
         with pytest.raises(ElaborationError, match="never declared"):
@@ -245,7 +244,7 @@ class TestElaborator:
         module a(input [7:0] x, output [7:0] y); assign y = x + 1; endmodule
         module b(input [7:0] x, output [7:0] y); assign y = x * x; endmodule
         """, top="b")
-        assert token_counts(g)["mul16"] == 1
+        assert g.token_counts()["mul16"] == 1
 
     def test_dynamic_bit_select_costs_a_shifter(self):
         g = elaborate_source("""
@@ -253,7 +252,7 @@ class TestElaborator:
           assign y = a[i];
         endmodule
         """)
-        assert token_counts(g)["sh8"] == 1
+        assert g.token_counts()["sh8"] == 1
 
     def test_static_part_select_is_free(self):
         g = elaborate_source("""

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graphir import token_counts
 from repro.synth import Synthesizer
 from repro.verilog import elaborate_source, parse_source
 from repro.verilog import ast
@@ -80,19 +79,19 @@ class TestMergeSemantics:
 
 class TestElaboration:
     def test_enable_becomes_mux(self):
-        counts = token_counts(elaborate_source(ENABLED_REG))
+        counts = elaborate_source(ENABLED_REG).token_counts()
         assert counts["mux8"] == 1
         assert counts["dff8"] == 1
 
     def test_reset_enable_counter(self):
         graph = elaborate_source(COUNTER_WITH_RESET)
-        counts = token_counts(graph)
+        counts = graph.token_counts()
         assert counts["dff16"] == 1
         assert counts["add16"] == 1
         assert counts["mux16"] >= 2  # rst mux + en recirculation mux
 
     def test_case_alu(self):
-        counts = token_counts(elaborate_source(ALU_CASE))
+        counts = elaborate_source(ALU_CASE).token_counts()
         assert counts["add16"] == 2      # a+b and a-b
         assert counts["and16"] == 1
         assert counts["xor16"] == 1
@@ -116,7 +115,7 @@ class TestElaboration:
           assign q = merged;
         endmodule
         """
-        counts = token_counts(elaborate_source(src))
+        counts = elaborate_source(src).token_counts()
         assert counts["dff8"] == 4
         # one enable mux per lane (at the shifted-data width)
         assert counts["mux32"] == 4

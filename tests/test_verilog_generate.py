@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graphir import token_counts
 from repro.synth import Synthesizer
 from repro.verilog import ElaborationError, VerilogSyntaxError, elaborate_source, parse_source
 
@@ -57,26 +56,26 @@ class TestUnrolling:
     def test_iteration_count_scales_hardware(self):
         g2 = elaborate_source(SIMD_XOR.replace("N = 4", "N = 2"))
         g8 = elaborate_source(SIMD_XOR.replace("N = 4", "N = 8"))
-        c2, c8 = token_counts(g2), token_counts(g8)
+        c2, c8 = g2.token_counts(), g8.token_counts()
         assert c8["xor8"] == 8 and c2["xor8"] == 2
 
     def test_genvar_becomes_constant(self):
         """8*i shifts are constant shifts — sh vertices appear only for
         the data shifts, not genvar arithmetic."""
         graph = elaborate_source(SIMD_XOR)
-        counts = token_counts(graph)
+        counts = graph.token_counts()
         assert counts["xor8"] == 4
 
     def test_local_names_isolated_per_iteration(self):
         """Each iteration's `la` is a distinct net — no cross-iteration
         merging (would collapse the xor count)."""
-        counts = token_counts(elaborate_source(SIMD_XOR))
+        counts = elaborate_source(SIMD_XOR).token_counts()
         assert counts["xor8"] == 4
 
     def test_multi_driver_net_joined(self):
         """`partial` has one driver per iteration; they join like concat."""
         graph = elaborate_source(SIMD_XOR)
-        counts = token_counts(graph)
+        counts = graph.token_counts()
         # N-1 joins of the per-lane slices (at the slice width).
         assert counts["or8"] >= 3
 
@@ -98,7 +97,7 @@ class TestUnrolling:
           assign o = acc;
         endmodule
         """
-        counts = token_counts(elaborate_source(src))
+        counts = elaborate_source(src).token_counts()
         assert counts["mul16"] == 3  # one per generated instance
 
     def test_generated_registers(self):
@@ -116,7 +115,7 @@ class TestUnrolling:
           assign q = merged;
         endmodule
         """
-        counts = token_counts(elaborate_source(src))
+        counts = elaborate_source(src).token_counts()
         assert counts["dff16"] == 4
 
     def test_step_must_be_positive(self):
@@ -135,7 +134,7 @@ class TestUnrolling:
           lanes #(.N(6)) u (.a(a), .b(b), .clk(clk), .y(y));
         endmodule
         """
-        counts = token_counts(elaborate_source(src, top="wrap"))
+        counts = elaborate_source(src, top="wrap").token_counts()
         assert counts["xor8"] == 6
 
     def test_synthesizes_end_to_end(self):

@@ -125,15 +125,3 @@ class TestMemoParity:
         assert memo.hits == 1
         ref = elaborate_source(REGISTERED, "rtop", memo=False)
         assert to_json(g) == to_json(ref)
-
-
-class TestCompiledElaboration:
-    @pytest.mark.parametrize("src,top", [
-        (REPEATED, "top"),
-        (GENERATE_FOR, "gtop"),
-        (REGISTERED, "rtop"),
-    ])
-    def test_builder_target_equals_dict_graph(self, src, top):
-        ref = elaborate_source(src, top, memo=False)
-        cg = elaborate_source(src, top, compiled=True)
-        assert to_json(cg.to_circuit_graph()) == to_json(ref)

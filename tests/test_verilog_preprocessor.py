@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graphir import token_counts
 from repro.verilog import (
     PreprocessorError,
     VerilogSyntaxError,
@@ -127,7 +126,7 @@ class TestEndToEnd:
           assign y = acc;
         endmodule
         """
-        counts = token_counts(elaborate_source(src))
+        counts = elaborate_source(src).token_counts()
         assert counts["dff16"] == 1
         assert counts["mul32"] == 1
 
@@ -143,8 +142,8 @@ class TestEndToEnd:
           assign y = r;
         endmodule
         """
-        plain = token_counts(elaborate_source(src))
-        with_mul = token_counts(elaborate_source(src, defines={"USE_MUL": "1"}))
+        plain = elaborate_source(src).token_counts()
+        with_mul = elaborate_source(src, defines={"USE_MUL": "1"}).token_counts()
         assert "mul16" not in plain and plain["add8"] == 1
         assert with_mul["mul16"] == 1
 
@@ -188,7 +187,7 @@ class TestComments:
           assign y = a + 1;  // `W bits
         endmodule
         """
-        assert token_counts(elaborate_source(src))["add8"] == 1
+        assert elaborate_source(src).token_counts()["add8"] == 1
 
 
 class TestLineNumbers:
