@@ -4,8 +4,9 @@ Heavy artifacts (the synthesized design dataset, trained SNS models) are
 built once per session and shared across benches.  The preset is chosen
 with the ``SNS_BENCH_PRESET`` environment variable:
 
-- ``paper`` (default): full-size Circuitformer, augmented path dataset —
-  the configuration behind the committed EXPERIMENTS.md numbers.
+- ``paper`` (default): ``repro.experiments.FULL`` — full-size
+  Circuitformer, augmented path dataset, the configuration behind the
+  committed EXPERIMENTS.md numbers.
 - ``fast``: minutes-scale smoke configuration.
 """
 
@@ -15,27 +16,11 @@ import os
 
 import pytest
 
-from repro.core import CircuitformerConfig, TrainingConfig
-from repro.datagen import AugmentationConfig, SeqGANConfig, train_test_split_by_family
-from repro.experiments import FAST, ExperimentSettings, build_dataset, fit_sns
+from repro.datagen import train_test_split_by_family
+from repro.experiments import (FAST, FULL, ExperimentSettings, build_dataset,
+                               fit_sns)
 
-# The committed-numbers preset: Table 2 model, augmented paths, CPU-scaled
-# epochs.  (The paper's GPU epoch counts are in PAPER_HYPERPARAMS.)
-PAPER = ExperimentSettings(
-    name="paper",
-    synth_effort="medium",
-    sampler_max_paths=300,
-    sampler_k=5,
-    circuitformer=CircuitformerConfig(),
-    training=TrainingConfig(circuitformer_epochs=20, aggregator_epochs=400),
-    augmentation=AugmentationConfig(
-        markov_paths=300, seqgan_paths=400, max_len=48,
-        seqgan=SeqGANConfig(max_len=48, pretrain_epochs=25, adversarial_rounds=6),
-    ),
-    max_design_nodes=None,
-)
-
-_PRESETS = {"paper": PAPER, "fast": FAST}
+_PRESETS = {"paper": FULL, "fast": FAST}
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from repro.baselines import (
     GCNPowerModel,
 )
 from repro.core import rrse
-from repro.experiments import evaluate_split, format_table
+from repro.experiments import FULL, evaluate_split, format_table
 
 from conftest import run_once
 
@@ -77,7 +77,7 @@ def test_baseline_landscape(benchmark, cv_parts, sns_on_a, settings):
     # only require the harness to produce finite comparisons.)
     assert all(np.isfinite(v) for scores in results.values()
                for v in scores.values())
-    if settings.name == "paper":
+    if settings is FULL:
         sns_timing = results["SNS"]["timing"]
         for name, scores in results.items():
             if name != "SNS" and "timing" in scores:

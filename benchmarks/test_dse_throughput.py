@@ -8,7 +8,8 @@ Two measurements on the paper's Figure-8 BOOM space, plus a scale probe:
   rung-1 budget of 220 evaluations (<10% of the space) — warmup,
   surrogate-predicted extremes, per-objective hill climbs, gap filling;
 - streaming scale probe: the ~1.12M-config ``extended_grid`` swept
-  without materializing the product, peak live modules <= chunk.
+  without materializing the product, with the peak number of live
+  ``BoomCore`` modules (counted through weak references) <= chunk.
 
 Asserted floors: >= 10x wall-clock speedup over the exhaustive sweep
 and >= 95% mean hypervolume recovery on the Figure-8 2-objective
@@ -27,11 +28,14 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
-from repro.boom import BoomConfig, BoomDSE, boom_grid, extended_grid
+from repro import obs
+from repro.boom import BoomConfig, BoomCore, BoomDSE, boom_grid, extended_grid
+from repro.boom import dse as boom_dse
 from repro.core import SNS, CircuitformerConfig, PathSampler, TrainingConfig
 from repro.datagen import build_design_dataset
 from repro.designs import standard_designs
@@ -98,11 +102,16 @@ def test_dse_throughput(benchmark, bench_sns):
     # Budgeted engine, cold caches of its own.
     engine_dse = BoomDSE(predictor=bench_sns)
     t0 = time.perf_counter()
-    res = run_once(benchmark, lambda: engine_dse.explore(
-        grid=grid, budget=len(grid), predict_budget=PREDICT_BUDGET,
-        chunk=256, block=1024, seed=0))
+    with obs.record() as recorder:
+        res = run_once(benchmark, lambda: engine_dse.explore(
+            grid=grid, budget=len(grid), predict_budget=PREDICT_BUDGET,
+            chunk=256, block=1024, seed=0))
     engine_wall = time.perf_counter() - t0
-    prof = res.engine_result.profile
+    eng = res.engine_result
+    stages = recorder.as_dict()["spans"]["dse.explore"]["children"]
+    screen_s = stages.get("dse.screen", {}).get("seconds", 0.0)
+    evaluate_s = stages["dse.evaluate"]["seconds"]
+    configs_per_second = eng.candidates / eng.runtime_s
 
     # Exhaustive oracle on a separate BoomDSE so neither run can hit the
     # other's prediction cache.
@@ -114,7 +123,7 @@ def test_dse_throughput(benchmark, bench_sns):
     # Explored-configs/sec: both runs cover the same 2,592-config space;
     # the engine scans all of it and spends real evaluations on 220.
     exhaustive_cps = len(grid) / exhaustive_wall
-    speedup = prof.configs_per_second / exhaustive_cps
+    speedup = configs_per_second / exhaustive_cps
     ex_rows = _raw_scored(exhaustive_dse, ex.points)
     en_rows = _raw_scored(engine_dse, res.points)
     rec_area = _recovery(ex_rows, en_rows, 0)
@@ -127,26 +136,28 @@ def test_dse_throughput(benchmark, bench_sns):
         "exhaustive_wall_s": exhaustive_wall,
         "exhaustive_configs_per_second": exhaustive_cps,
         "engine_wall_s": engine_wall,
-        "engine_profile": prof.as_dict(),
+        "candidates": eng.candidates,
+        "evaluated": len(eng.points),
+        "engine_profile": recorder.as_dict(),
         "configs_per_second": {
-            "rung0_screen": (prof.candidates / prof.screen_s
-                             if prof.screen_s > 0 else None),
-            "rung1_evaluate": prof.evals_per_second,
-            "overall": prof.configs_per_second,
+            "rung0_screen": (eng.candidates / screen_s
+                             if screen_s > 0 else None),
+            "rung1_evaluate": len(eng.points) / evaluate_s,
+            "overall": configs_per_second,
         },
         "speedup_vs_exhaustive": speedup,
         "hv_recovery": {"score_vs_area": rec_area,
                         "score_vs_power": rec_power,
                         "mean": mean_rec},
-        "front_size": len(res.engine_result.front),
+        "front_size": len(eng.front),
     }
 
     print(f"\nBudgeted DSE on the {len(grid)}-config BOOM space:")
     print(f"  exhaustive  {exhaustive_wall:6.1f} s "
           f"({d['exhaustive_configs_per_second']:7.1f} configs/s)")
     print(f"  engine      {engine_wall:6.1f} s "
-          f"({prof.configs_per_second:7.1f} configs/s, "
-          f"{prof.evaluated} evaluated)  ->  {speedup:.1f}x")
+          f"({configs_per_second:7.1f} configs/s, "
+          f"{len(eng.points)} evaluated)  ->  {speedup:.1f}x")
     print(f"  HV recovery: score-area {100 * rec_area:.1f}%, "
           f"score-power {100 * rec_power:.1f}%, mean {100 * mean_rec:.1f}%")
 
@@ -157,31 +168,42 @@ def test_dse_throughput(benchmark, bench_sns):
     assert mean_rec >= HV_RECOVERY_FLOOR
 
 
-def test_million_config_stream(bench_sns):
+def test_million_config_stream(bench_sns, monkeypatch):
     """The ~1.12M-config extended space sweeps without materialization."""
     grid = extended_grid()
     assert len(grid) > 1_000_000
 
+    # Count the sweep's live modules: every BoomCore the engine builds
+    # joins a weak set, so the set holds exactly the ones still alive.
+    live = weakref.WeakSet()
+    peak = [0]
+
+    class CountedCore(BoomCore):
+        def __init__(self, config):
+            super().__init__(config)
+            live.add(self)
+            peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(boom_dse, "BoomCore", CountedCore)
     dse = BoomDSE(predictor=bench_sns)
     chunk = 32
     res = dse.explore(grid=grid, budget=4096, predict_budget=64,
                       chunk=chunk, block=4096, seed=0)
-    prof = res.engine_result.profile
+    eng = res.engine_result
 
     print(f"\nStreaming sweep of {len(grid)} configs: "
-          f"{prof.evaluated} evaluated, {prof.candidates} candidates, "
-          f"peak live modules {prof.peak_live_modules}, "
-          f"{prof.wall_s:.1f} s")
+          f"{len(eng.points)} evaluated, {eng.candidates} candidates, "
+          f"peak live modules {peak[0]}, {eng.runtime_s:.1f} s")
 
-    assert prof.evaluated == 64
-    assert prof.peak_live_modules <= chunk
-    assert len(res.engine_result.front) >= 1
+    assert len(eng.points) == 64
+    assert 0 < peak[0] <= chunk
+    assert len(eng.front) >= 1
 
     d = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
     d["extended_space"] = {
-        "space": len(grid), "evaluated": prof.evaluated,
-        "candidates": prof.candidates,
-        "peak_live_modules": prof.peak_live_modules,
-        "wall_s": prof.wall_s,
+        "space": len(grid), "evaluated": len(eng.points),
+        "candidates": eng.candidates,
+        "peak_live_modules": peak[0],
+        "wall_s": eng.runtime_s,
     }
     BENCH_JSON.write_text(json.dumps(d, indent=2) + "\n")

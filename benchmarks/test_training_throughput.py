@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.core import Circuitformer, CircuitformerConfig, TrainingConfig
 from repro.datagen.dataset import PathRecord
 from repro.graphir import Vocabulary
@@ -90,14 +91,20 @@ def _time_engine(records):
     engine = TrainingEngine(bucketed=True, encoding_cache=EncodingCache())
     model = Circuitformer(BENCH_CF, seed=0)
     start = time.perf_counter()
-    history = engine.train_circuitformer(model, records, CONFIG)
+    with obs.record() as recorder:
+        history = engine.train_circuitformer(model, records, CONFIG)
     elapsed = time.perf_counter() - start
-    profile = engine.last_profile
-    return {"seconds": elapsed, "steps": profile.steps,
-            "steps_per_sec": profile.steps / elapsed,
+    phases = recorder.as_dict()["spans"]["trainer.circuitformer"]["children"]
+    steps = recorder.counters["trainer.circuitformer.steps"]
+    buckets = "trainer.bucket_rows."
+    return {"seconds": elapsed, "steps": steps,
+            "steps_per_sec": steps / elapsed,
             "final_train_loss": history[-1].train_loss,
-            "phase_seconds": profile.phase_seconds,
-            "bucket_rows": {str(k): v for k, v in profile.bucket_rows.items()}}
+            "phase_seconds": {name.removeprefix("trainer."): phase["seconds"]
+                              for name, phase in phases.items()},
+            "bucket_rows": {name.removeprefix(buckets): rows
+                            for name, rows in recorder.counters.items()
+                            if name.startswith(buckets)}}
 
 
 def _peak_alloc_mb(fn) -> float:

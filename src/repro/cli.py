@@ -54,6 +54,8 @@ import sys
 from contextlib import closing, contextmanager
 from pathlib import Path
 
+from . import obs
+
 __all__ = ["main"]
 
 
@@ -162,10 +164,10 @@ def _cmd_train(args) -> int:
                                              seed=args.seed)
     print(f"training SNS on {len(train)} designs"
           + (" (length-bucketed batches)" if args.buckets else "") + "...")
-    sns = fit_sns(train, settings)
+    with obs.record() as recorder:
+        sns = fit_sns(train, settings)
     if args.profile:
-        for profile in sns.training_profiles.values():
-            print(profile.format())
+        print(recorder.format())
     save_sns(sns, args.output)
     print(f"saved model to {args.output} ({len(test)} designs held out)")
     return 0
@@ -174,7 +176,7 @@ def _cmd_train(args) -> int:
 def _cmd_datagen(args) -> int:
     import json
 
-    from .datagen import build_design_dataset_profiled
+    from .datagen import build_design_dataset
     from .designs import standard_designs
     from .synth import Synthesizer
 
@@ -183,15 +185,17 @@ def _cmd_datagen(args) -> int:
     _check_cache_dir(args.cache_dir)
     workers = None if args.workers == 0 else args.workers
     synth = Synthesizer(effort=args.effort)
-    records, profile = build_design_dataset_profiled(
-        standard_designs(), synth, max_nodes=args.max_nodes,
-        num_workers=workers, cache_dir=args.cache_dir)
+    with obs.record() as recorder:
+        records = build_design_dataset(
+            standard_designs(), synth, max_nodes=args.max_nodes,
+            num_workers=workers, cache_dir=args.cache_dir)
     for record in records:
         print(f"{record.name:24s} {record.timing_ps:9.1f} ps "
               f"{record.area_um2:12.1f} um2 {record.power_mw:10.3f} mW")
-    print(f"[{len(records)} designs in {profile.wall_s:.2f}s]")
+    wall = recorder.as_dict()["spans"]["datagen.build"]["seconds"]
+    print(f"[{len(records)} designs in {wall:.2f}s]")
     if args.profile:
-        print(profile.format())
+        print(recorder.format())
     if args.output:
         rows = [{"name": r.name, "family": r.family,
                  "num_nodes": r.graph.num_nodes, "timing_ps": r.timing_ps,
@@ -244,10 +248,11 @@ def _cmd_dse(args) -> int:
     grid = extended_grid() if args.space == "extended" else boom_grid()
     predict_budget = max(1, int(round(args.budget * args.fidelity)))
     dse = BoomDSE(predictor=sns)
-    result = dse.explore(
-        grid=grid, budget=args.budget, predict_budget=predict_budget,
-        synth_budget=args.synth_finalists, chunk=args.chunk,
-        seed=args.seed, verbose=args.verbose)
+    with obs.record() as recorder:
+        result = dse.explore(
+            grid=grid, budget=args.budget, predict_budget=predict_budget,
+            synth_budget=args.synth_finalists, chunk=args.chunk,
+            seed=args.seed, verbose=args.verbose)
     eng = result.engine_result
 
     print(f"space:    {args.space} ({len(grid)} configurations)")
@@ -255,7 +260,7 @@ def _cmd_dse(args) -> int:
           f"({predict_budget} SNS evaluations)")
     print(f"explored: {len(result.points)} configurations in "
           f"{result.runtime_s:.2f}s "
-          f"({eng.profile.candidates / max(result.runtime_s, 1e-9):.0f} "
+          f"({eng.candidates / max(result.runtime_s, 1e-9):.0f} "
           f"configs/sec)")
     print(f"front:    {len(eng.front)} non-dominated designs "
           f"(timing/area/power/score)")
@@ -268,7 +273,7 @@ def _cmd_dse(args) -> int:
               f"power={point.power_mw:.2f}mW")
     if args.profile:
         print("profile:")
-        print(eng.profile.format())
+        print(recorder.format())
     if args.output:
         rows = [{"params": p.params, "timing_ps": p.timing_ps,
                  "area_um2": p.area_um2, "power_mw": p.power_mw,
@@ -276,7 +281,8 @@ def _cmd_dse(args) -> int:
         payload = {"space": args.space, "grid_size": len(grid),
                    "budget": args.budget, "fidelity": args.fidelity,
                    "chunk": args.chunk, "seed": args.seed,
-                   "profile": eng.profile.as_dict(), "points": rows}
+                   "candidates": eng.candidates,
+                   "profile": recorder.as_dict(), "points": rows}
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.output}")
     return 0
@@ -364,7 +370,7 @@ def _cmd_paths(args) -> int:
 
 def _cmd_compile(args) -> int:
     from .core import PathSampler
-    from .runtime import FrontendCache, compile_source_profiled
+    from .runtime import FrontendCache, compile_source
     from .store import ArtifactStore, open_backend
 
     _check_cache_dir(args.cache_dir)
@@ -372,10 +378,11 @@ def _cmd_compile(args) -> int:
     store = ArtifactStore(
         backend=open_backend(args.cache_dir) if args.cache_dir else None)
     cache = FrontendCache(store)
-    sampler = PathSampler(k=args.k) if args.sample else None
-    with closing(store), _front_end_errors(args.design):
-        cg, profile = compile_source_profiled(source, top=args.top,
-                                              cache=cache, sampler=sampler)
+    with closing(store), _front_end_errors(args.design), \
+            obs.record() as recorder:
+        cg = compile_source(source, top=args.top, cache=cache)
+        if args.sample:
+            cache.sample(cg, PathSampler(k=args.k))
     counts = cg.token_counts()
     print(f"design:  {cg.name}")
     print(f"nodes:   {cg.num_nodes} ({len(counts)} distinct tokens)")
@@ -383,7 +390,7 @@ def _cmd_compile(args) -> int:
     print(f"sources: {len(cg.source_ids())} sequential path sources")
     if args.profile:
         print("profile:")
-        print(profile.format())
+        print(recorder.format())
         if args.cache_dir:
             c = store.counters((cache.GRAPH_KIND, cache.PATHS_KIND))
             print(f"cache:   {c['object_hits']} object hits, "
@@ -488,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     p_train.add_argument("--buckets", action="store_true",
                          help="train with length-bucketed minibatches")
     p_train.add_argument("--profile", action="store_true",
-                         help="print per-phase training timing/allocation profiles")
+                         help="print the training span tree and counters")
     p_train.set_defaults(fn=_cmd_train)
 
     p_datagen = sub.add_parser("datagen",
@@ -556,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="Pareto-front designs re-checked with the "
                             "reference synthesizer")
     p_dse.add_argument("--chunk", type=int, default=256,
-                       help="streaming chunk size (bounds live modules)")
+                       help="streaming chunk size (prediction batch size)")
     p_dse.add_argument("--seed", type=int, default=0)
     p_dse.add_argument("--profile", action="store_true",
                        help="print per-rung timing and throughput")

@@ -98,7 +98,6 @@ class SNS:
         self.training_config = training_config or TrainingConfig(seed=seed)
         self.circuitformer_history = []
         self.aggregator_curve = []
-        self.training_profiles: dict[str, object] = {}
         self._fitted = False
 
     @property
@@ -128,9 +127,9 @@ class SNS:
         ``training_config``: bucket encodings persist across epochs, the
         design features feeding the aggregator ensemble are computed
         once (``PathSampler.sample`` reseeds per call, so sharing is
-        bit-identical to recomputing them per member), and the per-phase
-        profiles land in :attr:`training_profiles` under
-        ``"circuitformer"`` and ``"aggregator"``.
+        bit-identical to recomputing them per member).  Under an open
+        :func:`repro.obs.record` the engine records its training spans
+        and counters there.
         """
         from ..runtime.trainer import EncodingCache, TrainingEngine
 
@@ -160,7 +159,6 @@ class SNS:
                 features=features)
             if i == 0:
                 self.aggregator_curve = curve
-        self.training_profiles = dict(engine.profiles)
         self._fitted = True
         return self
 

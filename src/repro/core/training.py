@@ -80,7 +80,7 @@ def train_circuitformer(model: Circuitformer, records: list[PathRecord],
 
     Delegates to a :class:`repro.runtime.trainer.TrainingEngine` built
     from ``config`` (pass ``engine`` to share one — and its encoding
-    cache/profiles — across calls).
+    cache — across calls).
     """
     from ..runtime.trainer import TrainingEngine
 

@@ -8,9 +8,7 @@ dataset for training under data scarcity.
 from .dataset import (
     DesignRecord,
     PathRecord,
-    DatagenProfile,
     build_design_dataset,
-    build_design_dataset_profiled,
     sample_path_dataset,
     train_test_split_by_family,
 )
@@ -19,8 +17,8 @@ from .seqgan import SeqGAN, SeqGANConfig
 from .augment import AugmentationConfig, augment_path_dataset
 
 __all__ = [
-    "DesignRecord", "PathRecord", "DatagenProfile",
-    "build_design_dataset", "build_design_dataset_profiled",
+    "DesignRecord", "PathRecord",
+    "build_design_dataset",
     "sample_path_dataset", "train_test_split_by_family",
     "MarkovChainGenerator",
     "SeqGAN", "SeqGANConfig",

@@ -14,13 +14,13 @@ which the path sampler walks directly.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from typing import TYPE_CHECKING
 
+from .. import obs
 from ..designs import DesignEntry
 from ..graphir import CompiledGraph
 from ..synth import Synthesizer
@@ -31,9 +31,7 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core at runtime
 __all__ = [
     "DesignRecord",
     "PathRecord",
-    "DatagenProfile",
     "build_design_dataset",
-    "build_design_dataset_profiled",
     "sample_path_dataset",
     "train_test_split_by_family",
 ]
@@ -69,42 +67,6 @@ class PathRecord:
         return np.array([self.timing_ps, self.area_um2, self.power_mw])
 
 
-@dataclass(frozen=True)
-class DatagenProfile:
-    """Observability report for one ``build_design_dataset`` run.
-
-    Mirrors the trainer's ``TrainerProfile`` pattern: the builder records
-    where the wall-clock went (per-design synthesis seconds, cache
-    hit/miss counts, worker fan-out) so dataset-generation regressions
-    show up as numbers rather than vague slowness.
-    """
-
-    num_designs: int
-    num_workers: int
-    wall_s: float
-    synth_seconds: dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def designs_per_sec(self) -> float:
-        return self.num_designs / self.wall_s if self.wall_s > 0 else 0.0
-
-    def format(self) -> str:
-        lines = [f"[datagen] {self.num_designs} designs in {self.wall_s:.2f}s "
-                 f"({self.designs_per_sec:.2f} designs/s), "
-                 f"{self.num_workers} worker(s)"]
-        if self.cache_hits or self.cache_misses:
-            total = self.cache_hits + self.cache_misses
-            lines.append(f"  cache      {self.cache_hits} hits / "
-                         f"{self.cache_misses} misses "
-                         f"({100.0 * self.cache_hits / total:.0f}% hit rate)")
-        for name, secs in sorted(self.synth_seconds.items(),
-                                 key=lambda kv: -kv[1])[:8]:
-            lines.append(f"  {name:<24s} {secs:8.3f}s")
-        return "\n".join(lines)
-
-
 def build_design_dataset(entries: list[DesignEntry],
                          synthesizer: Synthesizer | None = None,
                          max_nodes: int | None = None,
@@ -123,38 +85,20 @@ def build_design_dataset(entries: list[DesignEntry],
     labels in the ``synth`` kind of an artifact store, keyed on graph
     structure x library x effort, so rebuilds replay labels instead of
     re-synthesizing.
+
+    Under an open :func:`repro.obs.record` the build is a
+    ``datagen.build`` span with one child per kept design
+    (``datagen.design.<name>``: the seconds its worker spent elaborating
+    and labeling it, so with several workers the children can sum past
+    the parent), and counters for the worker count and, with a
+    ``cache_dir``, synthesis-label hits and misses.
     """
-    records, _ = build_design_dataset_profiled(
-        entries, synthesizer=synthesizer, max_nodes=max_nodes,
-        num_workers=num_workers, cache_dir=cache_dir)
-    return records
-
-
-def build_design_dataset_profiled(
-        entries: list[DesignEntry],
-        synthesizer: Synthesizer | None = None,
-        max_nodes: int | None = None,
-        num_workers: int | None = 1,
-        cache_dir=None) -> tuple[list[DesignRecord], DatagenProfile]:
-    """:func:`build_design_dataset` plus a :class:`DatagenProfile`."""
     from ..runtime.parallel import parallel_build_design_dataset
 
-    start = time.perf_counter()
-    records, per_entry, workers = parallel_build_design_dataset(
-        entries, synthesizer=synthesizer, max_nodes=max_nodes,
-        num_workers=num_workers, cache_dir=cache_dir)
-    wall = time.perf_counter() - start
-    kept = {r.name for r in records}
-    profile = DatagenProfile(
-        num_designs=len(records),
-        num_workers=workers,
-        wall_s=wall,
-        synth_seconds={name: secs for name, secs, _ in per_entry
-                       if name in kept},
-        cache_hits=sum(1 for _, _, hit in per_entry if hit is True),
-        cache_misses=sum(1 for _, _, hit in per_entry if hit is False),
-    )
-    return records, profile
+    with obs.span("datagen.build"):
+        return parallel_build_design_dataset(
+            entries, synthesizer=synthesizer, max_nodes=max_nodes,
+            num_workers=num_workers, cache_dir=cache_dir)
 
 
 def sample_path_dataset(records: list[DesignRecord],

@@ -15,10 +15,9 @@ incremental k-objective :class:`ParetoFront`.
 
 from .grid import ParameterGrid
 from .pareto import ParetoFront, brute_force_front, hypervolume
-from .engine import (EngineConfig, EngineProfile, EngineResult,
-                     EvaluatedDesign, ExplorationEngine, pareto_points)
+from .engine import (EngineConfig, EngineResult, EvaluatedDesign,
+                     ExplorationEngine, pareto_points)
 
 __all__ = ["ParameterGrid", "EvaluatedDesign", "pareto_points",
            "ParetoFront", "brute_force_front", "hypervolume",
-           "EngineConfig", "EngineProfile", "EngineResult",
-           "ExplorationEngine"]
+           "EngineConfig", "EngineResult", "ExplorationEngine"]

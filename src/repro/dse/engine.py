@@ -47,7 +47,7 @@ Determinism: all randomness derives from ``config.seed``, every phase
 decision depends only on the set (not batching) of completed
 evaluations, and the batched predictor is batch-composition invariant —
 so the same seed yields the same evaluated set and front for any
-``chunk``, which only bounds live modules and prediction batch size.
+``chunk``, which only sets the prediction batch size.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..core import SNS
 from ..synth import Synthesizer
 from .grid import ParameterGrid
 from .pareto import ParetoFront
 
 __all__ = ["EvaluatedDesign", "pareto_points", "EngineConfig",
-           "EngineProfile", "EngineResult", "ExplorationEngine"]
+           "EngineResult", "ExplorationEngine"]
 
 # Objective names the engine knows, with their orientation.
 _MAXIMIZED = {"score": True, "timing_ps": False, "area_um2": False,
@@ -119,7 +120,7 @@ class EngineConfig:
         Size of the seeded candidate stream the rung-0 scan sees, capped
         at the grid size.  Guided local-search proposals (climbs, gap
         filling) may consider a few candidates beyond the stream; the
-        total appears in ``EngineProfile.candidates``.
+        total appears in ``EngineResult.candidates``.
     predict_budget:
         Rung-1 evaluations (factory + elaborate + predict).  ``None``
         means every candidate is evaluated — the exhaustive parity mode.
@@ -127,8 +128,8 @@ class EngineConfig:
         Rung-2 finalists re-evaluated with the reference synthesizer
         (0 disables the rung).
     chunk:
-        Peak live modules / prediction batch size.  An execution detail:
-        results are identical for any value >= 1.
+        Prediction batch size.  An execution detail: results are
+        identical for any value >= 1.
     block:
         Granularity of the rung-0 surrogate scan — candidates are
         screened as (block, num_params) digit matrices, so scan memory
@@ -184,64 +185,6 @@ class EngineConfig:
             raise ValueError("need >= 2 objectives")
 
 
-@dataclass
-class EngineProfile:
-    """Where one exploration run spent its wall-clock."""
-
-    wall_s: float = 0.0
-    screen_s: float = 0.0
-    evaluate_s: float = 0.0
-    synth_s: float = 0.0
-    refit_s: float = 0.0
-    candidates: int = 0
-    screened_out: int = 0
-    evaluated: int = 0
-    synthesized: int = 0
-    refits: int = 0
-    peak_live_modules: int = 0
-    front_size: int = 0
-
-    @property
-    def configs_per_second(self) -> float:
-        return self.candidates / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def evals_per_second(self) -> float:
-        return self.evaluated / self.evaluate_s if self.evaluate_s > 0 else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "wall_s": self.wall_s, "screen_s": self.screen_s,
-            "evaluate_s": self.evaluate_s, "synth_s": self.synth_s,
-            "refit_s": self.refit_s, "candidates": self.candidates,
-            "screened_out": self.screened_out, "evaluated": self.evaluated,
-            "synthesized": self.synthesized, "refits": self.refits,
-            "peak_live_modules": self.peak_live_modules,
-            "front_size": self.front_size,
-            "configs_per_second": self.configs_per_second,
-            "evals_per_second": self.evals_per_second,
-        }
-
-    def format(self) -> str:
-        lines = [
-            f"  candidates  {self.candidates:8d}  "
-            f"({self.configs_per_second:10.0f} configs/s)",
-            f"  screened    {self.screened_out:8d} out  "
-            f"({self.screen_s * 1e3:8.1f} ms)",
-            f"  evaluated   {self.evaluated:8d}      "
-            f"({self.evaluate_s * 1e3:8.1f} ms, "
-            f"{self.evals_per_second:6.1f}/s)",
-        ]
-        if self.synthesized:
-            lines.append(f"  synthesized {self.synthesized:8d}      "
-                         f"({self.synth_s * 1e3:8.1f} ms)")
-        lines.append(f"  front       {self.front_size:8d} designs; "
-                     f"peak live modules {self.peak_live_modules}; "
-                     f"{self.refits} surrogate refits")
-        lines.append(f"  wall        {self.wall_s:11.2f} s")
-        return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class EngineResult:
     """Everything one exploration run produced.
@@ -249,14 +192,16 @@ class EngineResult:
     ``points`` holds every rung-1-evaluated design; ``front`` the
     incremental k-objective Pareto subset of it (in the order of the
     first objective); ``finalists`` the rung-2 synthesizer-confirmed
-    re-evaluations (empty unless ``synth_budget > 0``).
+    re-evaluations (empty unless ``synth_budget > 0``); ``candidates``
+    the configurations the run considered (the seeded stream plus guided
+    proposals), of which all but ``len(points)`` were screened out.
     """
 
     points: tuple[EvaluatedDesign, ...]
     front: tuple[EvaluatedDesign, ...]
     objectives: tuple[str, ...]
     finalists: tuple[EvaluatedDesign, ...]
-    profile: EngineProfile
+    candidates: int
     runtime_s: float
 
     def best(self, key: Callable[[EvaluatedDesign], float] | str = "score"
@@ -398,15 +343,13 @@ class ExplorationEngine:
         return EvaluatedDesign(params=dict(params), timing_ps=timing,
                                area_um2=area, power_mw=power, score=score)
 
-    def _evaluate_chunk(self, params_list: list[dict],
-                        profile: EngineProfile) -> list[EvaluatedDesign]:
+    def _evaluate_chunk(self, params_list: list[dict]) -> list[EvaluatedDesign]:
         """Rung 1 for one chunk: factory -> compile -> predict/synthesize.
 
         Modules are compiled (or synthesized) one at a time and dropped
         immediately; only their compiled graphs ride into the batched
-        predictor — peak live modules per chunk is exactly one.
+        predictor, so at most one module is alive at a time.
         """
-        profile.peak_live_modules = max(profile.peak_live_modules, 1)
         if self._batch_engine is not None:
             graphs = []
             for params in params_list:
@@ -451,6 +394,11 @@ class ExplorationEngine:
         from dataclasses import replace
 
         cfg = replace(self.config, **overrides) if overrides else self.config
+        with obs.span("dse.explore"):
+            return self._explore(cfg, verbose)
+
+    def _explore(self, cfg: EngineConfig, verbose: bool) -> EngineResult:
+        start = time.perf_counter()
         grid = self.grid
         objectives = cfg.objectives
         maximize = [_MAXIMIZED[o] for o in objectives]
@@ -458,10 +406,6 @@ class ExplorationEngine:
         budget = min(cfg.budget, len(grid))
         predict_budget = (budget if cfg.predict_budget is None
                           else min(cfg.predict_budget, budget))
-
-        profile = EngineProfile()
-        start = time.perf_counter()
-        clock = time.perf_counter
 
         surrogate = _Surrogate(grid.radices)
         min_fit = cfg.min_fit if cfg.min_fit is not None \
@@ -486,15 +430,14 @@ class ExplorationEngine:
             the algorithm: decisions only ever read ``evaluated``.
             """
             todo = [i for i in dict.fromkeys(indices) if i not in evaluated]
-            t0 = clock()
-            for lo in range(0, len(todo), cfg.chunk):
-                batch = todo[lo:lo + cfg.chunk]
-                points = self._evaluate_chunk(grid.points_at(batch), profile)
-                for i, point in zip(batch, points):
-                    evaluated[i] = point
-                    front.add([getattr(point, o) for o in objectives], point)
-            profile.evaluated = len(evaluated)
-            profile.evaluate_s += clock() - t0
+            with obs.span("dse.evaluate"):
+                for lo in range(0, len(todo), cfg.chunk):
+                    batch = todo[lo:lo + cfg.chunk]
+                    points = self._evaluate_chunk(grid.points_at(batch))
+                    for i, point in zip(batch, points):
+                        evaluated[i] = point
+                        front.add([getattr(point, o) for o in objectives],
+                                  point)
 
         def refit(force: bool = False) -> None:
             if len(evaluated) < min_fit:
@@ -502,15 +445,14 @@ class ExplorationEngine:
             if surrogate.fitted and not force \
                     and len(evaluated) - state["last_fit"] < cfg.refit_every:
                 return
-            t0 = clock()
-            idxs = list(evaluated)
-            targets = np.array([[evaluated[i].timing_ps,
-                                 evaluated[i].area_um2,
-                                 evaluated[i].power_mw] for i in idxs])
-            surrogate.fit(grid.decode_indices(idxs), targets)
+            with obs.span("dse.refit"):
+                idxs = list(evaluated)
+                targets = np.array([[evaluated[i].timing_ps,
+                                     evaluated[i].area_um2,
+                                     evaluated[i].power_mw] for i in idxs])
+                surrogate.fit(grid.decode_indices(idxs), targets)
             state["last_fit"] = len(evaluated)
-            profile.refits += 1
-            profile.refit_s += clock() - t0
+            obs.count("dse.refits")
 
         def admit(candidates: list[int]) -> list[int]:
             """Unevaluated proposals, recorded as considered candidates."""
@@ -549,26 +491,27 @@ class ExplorationEngine:
             # ---- rung 0b: surrogate scan -> predicted extremes -------- #
             rest = stream[n_warm:]
             if rest and surrogate.fitted and quota() > 0:
-                t0 = clock()
-                top_k = 2
-                tops: list[list[tuple[float, int]]] = [[] for _ in objectives]
-                for lo in range(0, len(rest), cfg.block):
-                    blk = rest[lo:lo + cfg.block]
-                    digits = grid.decode_indices(blk)
-                    cols = self._surrogate_objectives(blk, digits, surrogate,
-                                                      objectives)
-                    for j in range(len(objectives)):
-                        v = signs[j] * cols[:, j]
-                        for pos in np.argsort(-v, kind="stable")[:top_k]:
-                            tops[j].append((float(v[pos]), blk[int(pos)]))
-                for picks in tops:
-                    picks.sort(key=lambda t: -t[0])
-                extremes: list[int] = []
-                for rank in range(top_k):
+                with obs.span("dse.screen"):
+                    top_k = 2
+                    tops: list[list[tuple[float, int]]] = [
+                        [] for _ in objectives]
+                    for lo in range(0, len(rest), cfg.block):
+                        blk = rest[lo:lo + cfg.block]
+                        digits = grid.decode_indices(blk)
+                        cols = self._surrogate_objectives(
+                            blk, digits, surrogate, objectives)
+                        for j in range(len(objectives)):
+                            v = signs[j] * cols[:, j]
+                            for pos in np.argsort(-v, kind="stable")[:top_k]:
+                                tops[j].append((float(v[pos]), blk[int(pos)]))
                     for picks in tops:
-                        if rank < len(picks) and picks[rank][1] not in extremes:
-                            extremes.append(picks[rank][1])
-                profile.screen_s += clock() - t0
+                        picks.sort(key=lambda t: -t[0])
+                    extremes: list[int] = []
+                    for rank in range(top_k):
+                        for picks in tops:
+                            if rank < len(picks) and \
+                                    picks[rank][1] not in extremes:
+                                extremes.append(picks[rank][1])
                 evaluate(admit(extremes)[:quota()])
                 refit()
                 if verbose:
@@ -668,36 +611,29 @@ class ExplorationEngine:
                 print(f"[dse-engine] gap fill: {len(evaluated)} evaluated, "
                       f"front {len(front)}")
 
-        profile.candidates = len(considered)
-        profile.screened_out = profile.candidates - profile.evaluated
-
         # ---- rung 2: reference synthesis of the finalists ------------- #
         finalists: list[EvaluatedDesign] = []
         if cfg.synth_budget > 0 and evaluated:
-            t0 = clock()
-            members = front.items()
-            if len(members) > cfg.synth_budget:
-                pick = np.linspace(0, len(members) - 1, cfg.synth_budget)
-                members = [members[int(i)] for i in pick]
-            synth = (self.engine if isinstance(self.engine, Synthesizer)
-                     else Synthesizer(effort="medium"))
-            for point in members:
-                module = self.factory(**point.params)
-                result = synth.synthesize(module.elaborate())
-                del module
-                finalists.append(self._score_point(
-                    point.params, result.timing_ps, result.area_um2,
-                    result.power_mw))
-            profile.synthesized = len(finalists)
-            profile.synth_s += clock() - t0
+            with obs.span("dse.synth"):
+                members = front.items()
+                if len(members) > cfg.synth_budget:
+                    pick = np.linspace(0, len(members) - 1, cfg.synth_budget)
+                    members = [members[int(i)] for i in pick]
+                synth = (self.engine if isinstance(self.engine, Synthesizer)
+                         else Synthesizer(effort="medium"))
+                for point in members:
+                    module = self.factory(**point.params)
+                    result = synth.synthesize(module.elaborate())
+                    del module
+                    finalists.append(self._score_point(
+                        point.params, result.timing_ps, result.area_um2,
+                        result.power_mw))
 
-        profile.front_size = len(front)
-        profile.wall_s = time.perf_counter() - start
         return EngineResult(
             points=tuple(evaluated.values()),
             front=tuple(front.items()),
             objectives=objectives,
             finalists=tuple(finalists),
-            profile=profile,
-            runtime_s=profile.wall_s,
+            candidates=len(considered),
+            runtime_s=time.perf_counter() - start,
         )

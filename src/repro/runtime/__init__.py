@@ -9,14 +9,12 @@ Layers a batched, cached serving engine over the core SNS predictor:
   activity).
 - :class:`TrainingEngine` — length-bucketed minibatching with fused
   in-place optimizer steps, graph-freeing backward, and epoch-persistent
-  encodings (:class:`PreparedPathDataset` / :class:`EncodingCache`),
-  reporting per-phase :class:`TrainerProfile` timings.
+  encodings (:class:`PreparedPathDataset` / :class:`EncodingCache`).
 - :func:`parallel_build_design_dataset` — process-pool label
   generation for the Hardware Design Dataset.
 - :class:`FrontendCache` / :func:`compile_source` / :func:`compile_module`
   — the content-addressed compiled front end (source -> CompiledGraph
-  -> sampled paths) over the store's ``graph`` and ``paths`` kinds,
-  with per-stage :class:`FrontendProfile` timings.
+  -> sampled paths) over the store's ``graph`` and ``paths`` kinds.
 - Fingerprint helpers for cache keying and invalidation.
 """
 
@@ -24,11 +22,9 @@ from .engine import BatchPredictor, resolve_activity_maps
 from .frontend import (
     DeltaElaborator,
     FrontendCache,
-    FrontendProfile,
     compile_design,
     compile_module,
     compile_source,
-    compile_source_profiled,
     fingerprint_frontend_module,
     fingerprint_frontend_source,
 )
@@ -41,17 +37,15 @@ from .fingerprint import (
     fingerprint_sampler,
 )
 from .parallel import parallel_build_design_dataset
-from .trainer import (EncodingCache, PreparedPathDataset, TrainerProfile,
-                      TrainingEngine)
+from .trainer import EncodingCache, PreparedPathDataset, TrainingEngine
 
 __all__ = [
     "BatchPredictor", "resolve_activity_maps",
-    "TrainingEngine", "PreparedPathDataset", "EncodingCache", "TrainerProfile",
+    "TrainingEngine", "PreparedPathDataset", "EncodingCache",
     "cache_key", "fingerprint_activity", "fingerprint_graph",
     "fingerprint_library", "fingerprint_model", "fingerprint_sampler",
     "parallel_build_design_dataset",
-    "FrontendCache", "FrontendProfile", "DeltaElaborator",
+    "FrontendCache", "DeltaElaborator",
     "compile_design", "compile_module", "compile_source",
-    "compile_source_profiled",
     "fingerprint_frontend_module", "fingerprint_frontend_source",
 ]

@@ -8,8 +8,9 @@
   CompiledGraph, and a second kind keyed on (graph content x sampler
   config) replays previously sampled paths.  The sampler is
   deterministic, so replayed paths equal a fresh sample exactly.
-- :class:`FrontendProfile` times each stage (lex / parse / elaborate /
-  sample) for the ``repro compile --profile`` CLI verb.
+- Under an open :func:`repro.obs.record`, the graph lookup, path
+  sampling and (inside the Verilog front end) lex, parse and elaborate
+  record spans, which ``repro compile --profile`` prints.
 """
 
 from __future__ import annotations
@@ -18,60 +19,21 @@ import hashlib
 import inspect
 import json
 import threading
-import time
-from dataclasses import dataclass
 
+from .. import obs
 from ..graphir import CompiledGraph
 from ..store import ArtifactStore
 from .fingerprint import fingerprint_sampler
 
 __all__ = [
-    "FrontendProfile",
     "FrontendCache",
     "DeltaElaborator",
     "fingerprint_frontend_source",
     "fingerprint_frontend_module",
     "compile_source",
-    "compile_source_profiled",
     "compile_module",
     "compile_design",
 ]
-
-
-# ---------------------------------------------------------------------- #
-@dataclass
-class FrontendProfile:
-    """Per-stage wall-clock timings of one front-end run (seconds)."""
-
-    lex_s: float = 0.0
-    parse_s: float = 0.0
-    elaborate_s: float = 0.0
-    compile_s: float = 0.0
-    sample_s: float = 0.0
-    cache_hit: bool = False
-
-    @property
-    def total_s(self) -> float:
-        return (self.lex_s + self.parse_s + self.elaborate_s
-                + self.compile_s + self.sample_s)
-
-    def as_dict(self) -> dict:
-        return {"lex_s": self.lex_s, "parse_s": self.parse_s,
-                "elaborate_s": self.elaborate_s, "compile_s": self.compile_s,
-                "sample_s": self.sample_s, "total_s": self.total_s,
-                "cache_hit": self.cache_hit}
-
-    def format(self) -> str:
-        lines = [f"  {name:<10} {value * 1e3:9.2f} ms"
-                 for name, value in (("lex", self.lex_s),
-                                     ("parse", self.parse_s),
-                                     ("elaborate", self.elaborate_s),
-                                     ("compile", self.compile_s),
-                                     ("sample", self.sample_s))
-                 if value]
-        lines.append(f"  {'total':<10} {self.total_s * 1e3:9.2f} ms"
-                     + ("  (cache hit)" if self.cache_hit else ""))
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------- #
@@ -202,11 +164,12 @@ class FrontendCache:
 
     def sample(self, cg: CompiledGraph, sampler):
         """Cached sampling: replay if keyed paths exist, else sample+store."""
-        paths = self.get_paths(cg, sampler)
-        if paths is None:
-            paths = sampler.sample(cg)
-            self.put_paths(cg, sampler, paths)
-        return paths
+        with obs.span("frontend.paths"):
+            paths = self.get_paths(cg, sampler)
+            if paths is None:
+                paths = sampler.sample(cg)
+                self.put_paths(cg, sampler, paths)
+            return paths
 
 
 # ---------------------------------------------------------------------- #
@@ -235,64 +198,15 @@ def compile_source(source: str, top: str | None = None,
     source = _preprocess(source, include_paths, defines)
     if cache is not None:
         key = fingerprint_frontend_source(source, top, defines)
-        cg = cache.get_graph(key)
+        with obs.span("frontend.graph_lookup"):
+            cg = cache.get_graph(key)
         if cg is not None:
+            obs.count("frontend.graph_hits")
             return cg
     cg = elaborate_source(source, top)
     if cache is not None:
         cache.put_graph(key, cg)
     return cg
-
-
-def compile_source_profiled(source: str, top: str | None = None,
-                            include_paths: list[str] | None = None,
-                            defines: dict[str, str] | None = None,
-                            cache: FrontendCache | None = None,
-                            sampler=None) -> tuple[CompiledGraph, FrontendProfile]:
-    """Like :func:`compile_source`, but times lex, parse and elaborate
-    separately; pass ``sampler`` to time path sampling too.
-    """
-    from ..verilog.elaborator import elaborate
-    from ..verilog.lexer import tokenize
-    from ..verilog.parser import Parser
-
-    profile = FrontendProfile()
-    clock = time.perf_counter
-    source = _preprocess(source, include_paths, defines)
-
-    key = None
-    if cache is not None:
-        key = fingerprint_frontend_source(source, top, defines)
-        t0 = clock()
-        cg = cache.get_graph(key)
-        if cg is not None:
-            profile.compile_s = clock() - t0
-            profile.cache_hit = True
-            if sampler is not None:
-                t0 = clock()
-                cache.sample(cg, sampler)
-                profile.sample_s = clock() - t0
-            return cg, profile
-
-    t0 = clock()
-    tokens = tokenize(source)
-    t1 = clock()
-    file = Parser(tokens).parse()
-    t2 = clock()
-    cg = elaborate(file, top)
-    profile.lex_s = t1 - t0
-    profile.parse_s = t2 - t1
-    profile.elaborate_s = clock() - t2
-    if cache is not None:
-        cache.put_graph(key, cg)
-    if sampler is not None:
-        t0 = clock()
-        if cache is not None:
-            cache.sample(cg, sampler)
-        else:
-            sampler.sample(cg)
-        profile.sample_s = clock() - t0
-    return cg, profile
 
 
 def compile_module(module, cache: FrontendCache | None = None) -> CompiledGraph:

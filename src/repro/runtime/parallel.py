@@ -18,6 +18,7 @@ import dataclasses
 import os
 import time
 
+from .. import obs
 from ..datagen.dataset import DesignRecord
 from ..store import ArtifactStore, open_backend
 from ..synth import SynthesisResult, Synthesizer, synthesis_cache_key
@@ -87,12 +88,12 @@ def parallel_build_design_dataset(entries,
     """Fan :func:`repro.datagen.dataset.build_design_dataset` over a pool.
 
     Workers are mapped in entry order and merged in entry order, so the
-    record list is bit-identical to the serial builder.  Returns
-    ``(records, per_entry, num_workers)`` where ``per_entry`` holds one
-    ``(name, seconds, hit)`` triple per registry entry (including
-    ``max_nodes``-skipped ones, with ``hit=None``) for profiling.
+    record list is bit-identical to the serial builder.
     ``num_workers=None`` uses the CPU count; pool failures fall back to
-    in-process execution with identical output.
+    in-process execution with identical output.  Each kept entry's
+    worker seconds are credited to the open :mod:`repro.obs` span as
+    ``datagen.design.<name>``, next to worker and synthesis-cache
+    counters.
     """
     synthesizer = synthesizer or Synthesizer(effort="medium")
     if num_workers is None:
@@ -111,7 +112,12 @@ def parallel_build_design_dataset(entries,
     else:
         results = [_synthesize_one_entry(job) for job in jobs]
 
-    records = [record for record, _, _ in results if record is not None]
-    per_entry = [(entry.name, seconds, hit)
-                 for entry, (_, seconds, hit) in zip(entries, results)]
-    return records, per_entry, num_workers
+    for entry, (record, seconds, _) in zip(entries, results):
+        if record is not None:
+            obs.add(f"datagen.design.{entry.name}", seconds)
+    obs.count("datagen.workers", num_workers)
+    if cache_dir is not None:
+        hits = [hit for _, _, hit in results if hit is not None]
+        obs.count("datagen.synth_cache.hits", sum(hits))
+        obs.count("datagen.synth_cache.misses", len(hits) - sum(hits))
+    return [record for record, _, _ in results if record is not None]

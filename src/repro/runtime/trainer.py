@@ -39,28 +39,17 @@ rounding — so it reproduces the seed curves statistically, not bitwise
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
 import numpy as np
 
-from .. import nn
+from .. import nn, obs
 from ..core.circuitformer import (TargetScaler, bucket_for_length,
                                   encode_batch)
 from ..core.training import EpochStats, TrainingConfig
 
-__all__ = ["EncodingCache", "PreparedPathDataset", "TrainerProfile",
-           "TrainingEngine"]
-
-try:
-    import resource
-
-    def _peak_rss_kb() -> int:
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-except ImportError:  # non-posix
-    def _peak_rss_kb() -> int:
-        return 0
+__all__ = ["EncodingCache", "PreparedPathDataset", "TrainingEngine"]
 
 
 class EncodingCache:
@@ -179,44 +168,6 @@ class PreparedPathDataset:
         return {b: np.asarray(v, dtype=np.int64) for b, v in groups.items()}
 
 
-@dataclass
-class TrainerProfile:
-    """Per-phase timing and allocation report for one training run."""
-
-    model: str
-    epochs: int
-    steps: int
-    wall_s: float
-    phase_seconds: dict[str, float]
-    steps_per_sec: float
-    peak_rss_delta_kb: int
-    bucket_rows: dict[int, int] = field(default_factory=dict)
-    pool_stats: dict[str, object] = field(default_factory=dict)
-    encoding_stats: dict[str, int] | None = None
-
-    def format(self) -> str:
-        lines = [f"[{self.model}] {self.epochs} epochs, {self.steps} steps "
-                 f"in {self.wall_s:.2f}s ({self.steps_per_sec:.1f} steps/s), "
-                 f"peak-RSS +{self.peak_rss_delta_kb} kB"]
-        total = max(self.wall_s, 1e-12)
-        for phase, secs in sorted(self.phase_seconds.items(),
-                                  key=lambda kv: -kv[1]):
-            lines.append(f"  {phase:<10s} {secs:8.3f}s  ({100 * secs / total:5.1f}%)")
-        if self.bucket_rows:
-            occupancy = ", ".join(f"{b}:{c}" for b, c in
-                                  sorted(self.bucket_rows.items()))
-            lines.append(f"  buckets    {occupancy}")
-        if self.encoding_stats:
-            lines.append(f"  encoding   {self.encoding_stats['hits']} hits / "
-                         f"{self.encoding_stats['misses']} misses "
-                         f"({self.encoding_stats['entries']} cached)")
-        if self.pool_stats:
-            lines.append(f"  pool       {self.pool_stats.get('hits', 0)} hits / "
-                         f"{self.pool_stats.get('misses', 0)} misses, "
-                         f"{self.pool_stats.get('stored_bytes', 0)} bytes held")
-        return "\n".join(lines)
-
-
 class TrainingEngine:
     """Length-bucketed, fused-optimizer training over the nn stack.
 
@@ -229,14 +180,20 @@ class TrainingEngine:
         the engine reproduces the seed loss curves bit-for-bit.
     encoding_cache:
         Optional :class:`EncodingCache` shared with inference.
+
+    Under an open :func:`repro.obs.record`, each run is a
+    ``trainer.circuitformer`` or ``trainer.aggregator`` span whose
+    children are ``trainer.prepare``, ``trainer.forward``,
+    ``trainer.backward``, ``trainer.optimizer`` and (Circuitformer only)
+    ``trainer.validation``; counters add up steps, epochs, rows per
+    padded width (``trainer.bucket_rows.<width>``) and the encoding-cache
+    and scratch-pool statistics' growth during the run.
     """
 
     def __init__(self, bucketed: bool = True,
                  encoding_cache: EncodingCache | None = None):
         self.bucketed = bool(bucketed)
         self.encoding_cache = encoding_cache
-        self.last_profile: TrainerProfile | None = None
-        self.profiles: dict[str, TrainerProfile] = {}
 
     @classmethod
     def from_config(cls, config: TrainingConfig,
@@ -252,64 +209,56 @@ class TrainingEngine:
         config = config or TrainingConfig()
         if len(records) < 4:
             raise ValueError(f"need at least 4 path records, got {len(records)}")
-        rss0 = _peak_rss_kb()
-        wall0 = time.perf_counter()
-        phases = {"prepare": 0.0, "forward": 0.0, "backward": 0.0,
-                  "optimizer": 0.0, "validation": 0.0}
-        rng = np.random.default_rng(config.seed)
+        with obs.span("trainer.circuitformer"), self._run_stats():
+            rng = np.random.default_rng(config.seed)
 
-        t0 = time.perf_counter()
-        labels = np.stack([r.labels for r in records])
-        model.scaler = TargetScaler.fit(labels)
-        targets = model.scaler.transform(labels)
-        max_len = min(model.config.max_input_size - 1,
-                      max(len(r.tokens) for r in records))
-        prepared = PreparedPathDataset(
-            [r.tokens for r in records], model.vocab, max_len,
-            bucketed=self.bucketed, encoding_cache=self.encoding_cache)
-        phases["prepare"] += time.perf_counter() - t0
+            with obs.span("trainer.prepare"):
+                labels = np.stack([r.labels for r in records])
+                model.scaler = TargetScaler.fit(labels)
+                targets = model.scaler.transform(labels)
+                max_len = min(model.config.max_input_size - 1,
+                              max(len(r.tokens) for r in records))
+                prepared = PreparedPathDataset(
+                    [r.tokens for r in records], model.vocab, max_len,
+                    bucketed=self.bucketed, encoding_cache=self.encoding_cache)
+            for bucket, rows in prepared.bucket_histogram().items():
+                obs.count(f"trainer.bucket_rows.{bucket}", rows)
 
-        n = len(records)
-        n_val = max(1, int(round(config.validation_fraction * n)))
-        perm = rng.permutation(n)
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
+            n = len(records)
+            n_val = max(1, int(round(config.validation_fraction * n)))
+            perm = rng.permutation(n)
+            val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-        opt = nn.Adam(model.parameters(), lr=config.circuitformer_lr)
+            opt = nn.Adam(model.parameters(), lr=config.circuitformer_lr)
 
-        history: list[EpochStats] = []
-        steps = 0
-        for epoch in range(config.circuitformer_epochs):
-            model.train()
-            train_losses = []
-            for batch in self._epoch_batches(prepared, train_idx,
-                                             config.circuitformer_batch, rng):
-                ids, mask = prepared.slice(batch)
-                t0 = time.perf_counter()
-                pred = model.forward(ids, mask)
-                loss = nn.mse_loss(pred, targets[batch])
-                phases["forward"] += time.perf_counter() - t0
-                opt.zero_grad()
-                t0 = time.perf_counter()
-                loss.backward()
-                phases["backward"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                opt.step(max_grad_norm=5.0)
-                phases["optimizer"] += time.perf_counter() - t0
-                train_losses.append(loss.item())
-                steps += 1
-            model.eval()
-            t0 = time.perf_counter()
-            val_loss = self._validation_loss(model, prepared, val_idx, targets)
-            phases["validation"] += time.perf_counter() - t0
-            stats = EpochStats(epoch, float(np.mean(train_losses)), val_loss)
-            history.append(stats)
-            if verbose:
-                print(f"[circuitformer] epoch {epoch:3d} "
-                      f"train {stats.train_loss:.4f} val {stats.val_loss:.4f}")
-        self._finish_profile("circuitformer", config.circuitformer_epochs,
-                             steps, wall0, rss0, phases,
-                             prepared.bucket_histogram())
-        return history
+            history: list[EpochStats] = []
+            for epoch in range(config.circuitformer_epochs):
+                model.train()
+                train_losses = []
+                for batch in self._epoch_batches(prepared, train_idx,
+                                                 config.circuitformer_batch, rng):
+                    ids, mask = prepared.slice(batch)
+                    with obs.span("trainer.forward"):
+                        pred = model.forward(ids, mask)
+                        loss = nn.mse_loss(pred, targets[batch])
+                    opt.zero_grad()
+                    with obs.span("trainer.backward"):
+                        loss.backward()
+                    with obs.span("trainer.optimizer"):
+                        opt.step(max_grad_norm=5.0)
+                    train_losses.append(loss.item())
+                    obs.count("trainer.circuitformer.steps")
+                model.eval()
+                with obs.span("trainer.validation"):
+                    val_loss = self._validation_loss(model, prepared, val_idx,
+                                                     targets)
+                stats = EpochStats(epoch, float(np.mean(train_losses)), val_loss)
+                history.append(stats)
+                obs.count("trainer.circuitformer.epochs")
+                if verbose:
+                    print(f"[circuitformer] epoch {epoch:3d} "
+                          f"train {stats.train_loss:.4f} val {stats.val_loss:.4f}")
+            return history
 
     def _epoch_batches(self, prepared: PreparedPathDataset,
                        train_idx: np.ndarray, batch_size: int,
@@ -388,80 +337,64 @@ class TrainingEngine:
         config = config or TrainingConfig()
         if len(designs) < 2:
             raise ValueError(f"need at least 2 design records, got {len(designs)}")
-        rss0 = _peak_rss_kb()
-        wall0 = time.perf_counter()
-        phases = {"prepare": 0.0, "forward": 0.0, "backward": 0.0,
-                  "optimizer": 0.0}
-        rng = np.random.default_rng(config.seed + 1)
+        with obs.span("trainer.aggregator"), self._run_stats():
+            rng = np.random.default_rng(config.seed + 1)
 
-        t0 = time.perf_counter()
-        if features is None:
-            features = self.prepare_design_features(designs, circuitformer, sampler)
-        labels = np.stack([d.labels for d in designs])
+            with obs.span("trainer.prepare"):
+                if features is None:
+                    features = self.prepare_design_features(designs, circuitformer, sampler)
+                labels = np.stack([d.labels for d in designs])
 
-        # Stage 1: closed-form physics calibration (area, energy, timing scale).
-        mlp.fit_physics(features, labels)
-        physics = np.stack([mlp.physics_predict(f) for f in features])
+                # Stage 1: closed-form physics calibration (area, energy, timing scale).
+                mlp.fit_physics(features, labels)
+                physics = np.stack([mlp.physics_predict(f) for f in features])
 
-        # Stage 2: the per-target residual MLPs.
-        log_inputs = np.stack([f.log_vector(p) for f, p in zip(features, physics)])
-        residuals = np.log1p(labels) - np.log1p(physics)
-        mlp.fit_scalers(log_inputs, residuals)
-        targets = (residuals - mlp.residual_mean) / mlp.residual_std
-        phases["prepare"] += time.perf_counter() - t0
+                # Stage 2: the per-target residual MLPs.
+                log_inputs = np.stack([f.log_vector(p) for f, p in zip(features, physics)])
+                residuals = np.log1p(labels) - np.log1p(physics)
+                mlp.fit_scalers(log_inputs, residuals)
+                targets = (residuals - mlp.residual_mean) / mlp.residual_std
 
-        params = [p for head in mlp.heads for p in head.parameters()]
-        opt = nn.Adam(params, lr=config.aggregator_lr,
-                      weight_decay=config.aggregator_weight_decay)
+            params = [p for head in mlp.heads for p in head.parameters()]
+            opt = nn.Adam(params, lr=config.aggregator_lr,
+                          weight_decay=config.aggregator_weight_decay)
 
-        n = len(designs)
-        curve: list[float] = []
-        steps = 0
-        for epoch in range(config.aggregator_epochs):
-            order = rng.permutation(n)
-            losses = []
-            for lo in range(0, n, config.aggregator_batch):
-                batch = order[lo:lo + config.aggregator_batch]
-                t0 = time.perf_counter()
-                total = None
-                for t in range(3):
-                    pred = mlp.forward(log_inputs[batch], t).reshape(len(batch))
-                    loss = nn.mse_loss(pred, targets[batch, t])
-                    total = loss if total is None else total + loss
-                phases["forward"] += time.perf_counter() - t0
-                opt.zero_grad()
-                t0 = time.perf_counter()
-                total.backward()
-                phases["backward"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                opt.step(max_grad_norm=5.0)
-                phases["optimizer"] += time.perf_counter() - t0
-                losses.append(total.item() / 3.0)
-                steps += 1
-            curve.append(float(np.mean(losses)))
-            if verbose and epoch % max(1, config.aggregator_epochs // 10) == 0:
-                print(f"[aggregator] epoch {epoch:4d} loss {curve[-1]:.4f}")
-        self._finish_profile("aggregator", config.aggregator_epochs, steps,
-                             wall0, rss0, phases, {})
-        return curve
+            n = len(designs)
+            curve: list[float] = []
+            for epoch in range(config.aggregator_epochs):
+                order = rng.permutation(n)
+                losses = []
+                for lo in range(0, n, config.aggregator_batch):
+                    batch = order[lo:lo + config.aggregator_batch]
+                    with obs.span("trainer.forward"):
+                        total = None
+                        for t in range(3):
+                            pred = mlp.forward(log_inputs[batch], t).reshape(len(batch))
+                            loss = nn.mse_loss(pred, targets[batch, t])
+                            total = loss if total is None else total + loss
+                    opt.zero_grad()
+                    with obs.span("trainer.backward"):
+                        total.backward()
+                    with obs.span("trainer.optimizer"):
+                        opt.step(max_grad_norm=5.0)
+                    losses.append(total.item() / 3.0)
+                    obs.count("trainer.aggregator.steps")
+                curve.append(float(np.mean(losses)))
+                obs.count("trainer.aggregator.epochs")
+                if verbose and epoch % max(1, config.aggregator_epochs // 10) == 0:
+                    print(f"[aggregator] epoch {epoch:4d} loss {curve[-1]:.4f}")
+            return curve
 
     # ------------------------------------------------------------------ #
-    def _finish_profile(self, model_name: str, epochs: int, steps: int,
-                        wall0: float, rss0: int, phases: dict[str, float],
-                        bucket_rows: dict[int, int]) -> None:
-        wall = time.perf_counter() - wall0
-        profile = TrainerProfile(
-            model=model_name,
-            epochs=epochs,
-            steps=steps,
-            wall_s=wall,
-            phase_seconds=dict(phases),
-            steps_per_sec=steps / wall if wall > 0 else 0.0,
-            peak_rss_delta_kb=max(0, _peak_rss_kb() - rss0),
-            bucket_rows=dict(bucket_rows),
-            pool_stats=nn.scratch_pool.stats(),
-            encoding_stats=(self.encoding_cache.stats()
-                            if self.encoding_cache is not None else None),
-        )
-        self.last_profile = profile
-        self.profiles[model_name] = profile
+    @contextmanager
+    def _run_stats(self):
+        """Count the encoding-cache and scratch-pool statistics' growth
+        over one run (``trainer.encoding.*``, ``trainer.pool.*``)."""
+        sources = {"trainer.pool": nn.scratch_pool.stats}
+        if self.encoding_cache is not None:
+            sources["trainer.encoding"] = self.encoding_cache.stats
+        before = {prefix: stats() for prefix, stats in sources.items()}
+        yield
+        for prefix, stats in sources.items():
+            for key, value in stats().items():
+                obs.count(f"{prefix}.{key}", value - before[prefix][key])

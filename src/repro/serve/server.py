@@ -23,12 +23,14 @@ at flush time).  ``/metrics`` reports all of it.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .. import obs
 from .admission import RateLimiter
 from .batcher import MicroBatchQueue, QueueFullError
 from .http import HttpError, Request, Response, read_request
@@ -85,6 +87,8 @@ class PredictionServer:
         self._dse_lock = asyncio.Lock()
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
+        # Connections between a parsed request and its written response.
+        self._busy: set[asyncio.Task] = set()
         self._default: str | None = None
         self._draining = False
 
@@ -127,19 +131,21 @@ class PredictionServer:
         """Stop accepting, drain in-flight work, then tear down.
 
         The drain order matters: close the listener first (no new
-        connections), let queued predictions flush and in-flight
-        handlers answer, then cancel stragglers and release the pool.
+        connections) and drop idle keep-alive connections (no request in
+        flight), let queued predictions flush and in-flight handlers
+        answer, then cancel stragglers and release the pool.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        for task in self._connections - self._busy:
+            task.cancel()
         deadline = asyncio.get_running_loop().time() + drain_timeout
         for batcher in self._batchers.values():
             remaining = max(0.0, deadline - asyncio.get_running_loop().time())
             await batcher.drain(timeout=remaining)
-        while self._connections and \
-                asyncio.get_running_loop().time() < deadline:
+        while self._busy and asyncio.get_running_loop().time() < deadline:
             await asyncio.sleep(0.01)
         for batcher in self._batchers.values():
             await batcher.close()
@@ -169,17 +175,20 @@ class PredictionServer:
                     break
                 if request is None:
                     break
+                self._busy.add(task)
+                response = await self._dispatch(request, writer)
                 keep_alive = (request.headers.get("connection", "keep-alive")
                               .lower() != "close") and not self._draining
-                response = await self._dispatch(request, writer)
                 writer.write(response.encode(keep_alive=keep_alive))
                 await writer.drain()
+                self._busy.discard(task)
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
             self._connections.discard(task)
+            self._busy.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -269,9 +278,15 @@ class PredictionServer:
         if not isinstance(raw, dict):
             raise HttpError(400, "activity must map node ids to coefficients")
         try:
-            return {int(k): float(v) for k, v in raw.items()}
+            activity = {int(k): float(v) for k, v in raw.items()}
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"bad activity map: {exc}") from exc
+        for node, value in activity.items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise HttpError(400, f"bad activity map: node {node} has "
+                                     f"coefficient {value}; coefficients "
+                                     f"must be finite and non-negative")
+        return activity
 
     def _compile_request(self, body: dict, served: ServedModel):
         """Front-end work for one request (runs on a worker thread)."""
@@ -415,12 +430,16 @@ class PredictionServer:
 
             grid = extended_grid() if space == "extended" else boom_grid()
             dse = BoomDSE(predictor=served.sns)
-            return grid, dse.explore(grid=grid, budget=budget,
+            # Pool threads do not inherit the handler's context, so the
+            # job records its own profile.
+            with obs.record() as recorder:
+                result = dse.explore(grid=grid, budget=budget,
                                      predict_budget=predict_budget,
                                      chunk=chunk, seed=seed)
+            return grid, result, recorder
 
         async with self._dse_lock:  # one exploration at a time per process
-            grid, result = await asyncio.wait_for(
+            grid, result, recorder = await asyncio.wait_for(
                 loop.run_in_executor(self._pool, run),
                 timeout=max(self.config.request_timeout_s, 300.0))
         eng = result.engine_result
@@ -436,11 +455,12 @@ class PredictionServer:
             "space": space, "grid_size": len(grid), "budget": budget,
             "predict_budget": predict_budget, "seed": seed,
             "explored": len(result.points),
+            "candidates": eng.candidates,
             "front_size": len(eng.front),
             "high_perf": point(result.high_perf),
             "power_eff": point(result.power_eff),
             "area_eff": point(result.area_eff),
-            "profile": eng.profile.as_dict(),
+            "profile": recorder.as_dict(),
             "model": served.fingerprint,
         })
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ast
+from .. import obs
 from ..graphir import CompiledGraph
 from ..hdl import Circuit, Signal
 from .parser import parse_source
@@ -55,7 +56,9 @@ def elaborate_source(source: str, top: str | None = None,
         from .preprocessor import preprocess
 
         source = preprocess(source, include_paths=include_paths, defines=defines)
-    return elaborate(parse_source(source), top, memo=memo)
+    file = parse_source(source)
+    with obs.span("verilog.elaborate"):
+        return elaborate(file, top, memo=memo)
 
 
 # ---------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ and unary reductions).
 from __future__ import annotations
 
 from . import ast
+from .. import obs
 from .lexer import TokenStream, VerilogSyntaxError, parse_number, tokenize
 
 __all__ = ["Parser", "parse_source"]
@@ -449,4 +450,7 @@ class Parser:
 
 def parse_source(source: str) -> ast.SourceFile:
     """Parse Verilog text into a :class:`~repro.verilog.ast.SourceFile`."""
-    return Parser(tokenize(source)).parse()
+    with obs.span("verilog.lex"):
+        tokens = tokenize(source)
+    with obs.span("verilog.parse"):
+        return Parser(tokens).parse()

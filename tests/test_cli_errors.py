@@ -117,7 +117,7 @@ def test_output_directory_missing(args, tmp_path, capsys, monkeypatch):
         raise AssertionError("work started before the output path was checked")
 
     monkeypatch.setattr(repro.experiments, "build_dataset", no_work)
-    monkeypatch.setattr(repro.datagen, "build_design_dataset_profiled", no_work)
+    monkeypatch.setattr(repro.datagen, "build_design_dataset", no_work)
     out = tmp_path / "missing" / "out"
     assert main([*args, str(out)]) == 2
     assert_one_error_line(capsys.readouterr().err, out, "no directory")
@@ -165,7 +165,7 @@ def test_unusable_cache_dir(verb, case, tmp_path, capsys, monkeypatch):
         raise AssertionError("work started before --cache-dir was checked")
 
     monkeypatch.setattr(repro.cli, "_read_source", no_work)
-    monkeypatch.setattr(repro.datagen, "build_design_dataset_profiled", no_work)
+    monkeypatch.setattr(repro.datagen, "build_design_dataset", no_work)
     monkeypatch.setattr(repro.serve, "PredictionServer", no_work)
     notes = tmp_path / "notes.txt"
     notes.write_text("not a database\n")

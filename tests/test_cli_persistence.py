@@ -1,10 +1,12 @@
 """Tests for SNS model persistence and the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.core import (
     SNS,
@@ -14,7 +16,7 @@ from repro.core import (
     load_sns,
     save_sns,
 )
-from repro.datagen import build_design_dataset, build_design_dataset_profiled
+from repro.datagen import build_design_dataset
 from repro.designs import standard_designs
 from repro.store import open_backend
 from repro.synth import Synthesizer
@@ -183,9 +185,10 @@ class TestOneStore:
         assert store_kinds(store, capsys) == {"prediction": 1, "synth": 2}
         # Read the file back, not this process's in-memory copy.
         monkeypatch.setattr(parallel, "_SYNTH_CACHES", {})
-        warm, profile = build_design_dataset_profiled(entries, synth,
-                                                      cache_dir=store)
-        assert (profile.cache_hits, profile.cache_misses) == (2, 0)
+        with obs.record() as recorder:
+            warm = build_design_dataset(entries, synth, cache_dir=store)
+        assert (recorder.counters["datagen.synth_cache.hits"],
+                recorder.counters["datagen.synth_cache.misses"]) == (2, 0)
         assert [r.labels.tolist() for r in warm] == \
             [r.labels.tolist() for r in cold]
 
@@ -235,3 +238,93 @@ class TestCLIReportExport:
     def test_export_unknown_design(self, capsys):
         assert main(["export", "warp-core", "/tmp/x.v"]) == 2
         assert "export --list" in capsys.readouterr().err
+
+
+class TestProfile:
+    """``--profile`` on ``train``, ``datagen``, ``compile`` and ``dse``
+    prints one format: the span tree and counters of a
+    :class:`repro.obs.Recorder`."""
+
+    @staticmethod
+    def counter(out: str, name: str) -> int:
+        match = re.search(rf"^{re.escape(name)} +(\d+)$", out, re.M)
+        assert match, f"no counter {name} in:\n{out}"
+        return int(match.group(1))
+
+    def test_compile_miss_then_warm_hit(self, tmp_path, capsys):
+        design = tmp_path / "mac.v"
+        design.write_text(MAC_V)
+        args = ["compile", str(design), "--cache-dir", str(tmp_path / "c"),
+                "--sample", "--profile"]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        for name in ("verilog.lex", "verilog.parse", "verilog.elaborate"):
+            assert re.search(rf"^{name} +1 ", cold, re.M), cold
+            assert name not in warm
+        for out in (cold, warm):
+            assert re.search(r"^frontend\.graph_lookup +1 ", out, re.M)
+            assert re.search(r"^frontend\.paths +1 ", out, re.M)
+        assert "frontend.graph_hits" not in cold
+        assert self.counter(warm, "frontend.graph_hits") == 1
+
+    def test_datagen(self, tmp_path, capsys):
+        args = ["datagen", "--effort", "low", "--max-nodes", "300",
+                "--cache-dir", str(tmp_path / "c"), "--profile"]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        designs = int(re.search(r"^\[(\d+) designs in [\d.]+s\]$", cold,
+                                re.M).group(1))
+        assert designs > 2
+        assert re.search(r"^datagen\.build +1 ", cold, re.M)
+        assert re.search(r"^  datagen\.design\.gpio16 +1 ", cold, re.M)
+        assert self.counter(cold, "datagen.workers") == 1
+        assert self.counter(cold, "datagen.synth_cache.misses") == designs
+        assert self.counter(cold, "datagen.synth_cache.hits") == 0
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert self.counter(warm, "datagen.synth_cache.hits") == designs
+        assert self.counter(warm, "datagen.synth_cache.misses") == 0
+
+    def test_train(self, tmp_path, capsys, monkeypatch):
+        import repro.experiments as experiments
+
+        monkeypatch.setattr(experiments, "FAST", experiments.ExperimentSettings(
+            name="tiny", synth_effort="low", sampler_max_paths=20,
+            sampler_k=5, circuitformer=TINY_CF,
+            training=TrainingConfig(circuitformer_epochs=2,
+                                    aggregator_epochs=4),
+            augmentation=None, max_design_nodes=400))
+        assert main(["train", str(tmp_path / "m.npz"), "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^trainer\.circuitformer +1 ", out, re.M)
+        assert re.search(r"^trainer\.aggregator +3 ", out, re.M)
+        for phase in ("prepare", "forward", "backward", "optimizer",
+                      "validation"):
+            assert re.search(rf"^  trainer\.{phase} ", out, re.M), out
+        assert self.counter(out, "trainer.circuitformer.epochs") == 2
+        assert self.counter(out, "trainer.aggregator.epochs") == 3 * 4
+        for name in ("trainer.circuitformer.steps", "trainer.aggregator.steps",
+                     "trainer.encoding.misses", "trainer.pool.hits"):
+            self.counter(out, name)
+        assert re.search(r"^trainer\.bucket_rows\.\d+ +\d+$", out, re.M)
+
+    def test_dse(self, model_path, tmp_path, capsys):
+        output = tmp_path / "dse.json"
+        assert main(["dse", model_path, "--budget", "400", "--fidelity",
+                     "0.25", "--chunk", "16", "--synth-finalists", "1",
+                     "--profile", "--output", str(output)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^explored: 100 configurations in [\d.]+s "
+                         r"\(\d+ configs/sec\)$", out, re.M)
+        assert re.search(r"^dse\.explore +1 ", out, re.M)
+        for name in ("evaluate", "screen", "refit", "synth"):
+            assert re.search(rf"^  dse\.{name} ", out, re.M), out
+        refits = self.counter(out, "dse.refits")
+        doc = json.loads(output.read_text())
+        assert doc["candidates"] >= 400
+        assert doc["profile"]["counters"] == {"dse.refits": refits}
+        explore = doc["profile"]["spans"]["dse.explore"]
+        assert set(explore["children"]) >= {"dse.evaluate", "dse.screen",
+                                            "dse.refit", "dse.synth"}

@@ -8,15 +8,17 @@ across repeated runs *and* across chunk sizes.
 """
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import SNS, CircuitformerConfig, PathSampler, TrainingConfig
 from repro.datagen import build_design_dataset
 from repro.designs import SIMDALU, standard_designs
-from repro.dse import (EngineConfig, EngineProfile, EngineResult,
-                       ExplorationEngine, ParameterGrid, pareto_points)
+from repro.dse import (EngineConfig, EngineResult, ExplorationEngine,
+                       ParameterGrid, pareto_points)
 from repro.synth import Synthesizer
 from tests.oracles.dse import synthesize_grid
 
@@ -167,12 +169,8 @@ class TestEngineParity:
 
     def test_profile_counts(self, pair):
         eresult, _ = pair
-        prof = eresult.profile
-        assert prof.candidates == len(self.GRID)
-        assert prof.evaluated == len(self.GRID)
-        assert prof.screened_out == 0
-        assert prof.peak_live_modules == 1
-        assert prof.front_size == len(eresult.front)
+        assert eresult.candidates == len(self.GRID)
+        assert len(eresult.points) == len(self.GRID)
         assert eresult.runtime_s > 0
 
     def test_hypervolume_positive(self, pair):
@@ -219,9 +217,8 @@ class TestEngineDeterminism:
         r = self._run(chunk=5)
         # The seeded stream is budget-sized; guided local search may
         # consider a few extra neighbors beyond it.
-        assert r.profile.candidates >= 30
+        assert r.candidates >= 30
         assert len(r.points) == 16
-        assert r.profile.screened_out == r.profile.candidates - 16
 
     def test_guided_proposals_stay_on_grid(self):
         r = self._run(chunk=5)
@@ -236,9 +233,11 @@ class TestEngineRungsAndErrors:
         engine = ExplorationEngine(
             SIMDALU, Synthesizer(effort="low"), self.GRID,
             config=EngineConfig(budget=6, synth_budget=2, block=6, chunk=3))
-        r = engine.explore()
+        with obs.record() as recorder:
+            r = engine.explore()
         assert 1 <= len(r.finalists) <= 2
-        assert r.profile.synthesized == len(r.finalists)
+        explore = recorder.as_dict()["spans"]["dse.explore"]
+        assert explore["children"]["dse.synth"]["calls"] == 1
         front_keys = set(_param_keys(r.front))
         assert set(_param_keys(r.finalists)) <= front_keys
 
@@ -255,8 +254,7 @@ class TestEngineRungsAndErrors:
     def test_empty_result_errors(self):
         empty = EngineResult(points=(), front=(), objectives=("timing_ps",
                                                               "score"),
-                             finalists=(), profile=EngineProfile(),
-                             runtime_s=0.0)
+                             finalists=(), candidates=0, runtime_s=0.0)
         with pytest.raises(ValueError, match="no evaluated points"):
             empty.best()
         with pytest.raises(ValueError, match="no evaluated points"):
@@ -279,6 +277,24 @@ class TestEngineRungsAndErrors:
 
 
 # ---------------------------------------------------------------------- #
+def live_module_probe():
+    """A SIMDALU factory that tracks its live modules.
+
+    Returns ``(factory, live, peak)``: ``live`` is a weak set of the
+    modules still alive and ``peak()`` the most that were alive at once.
+    """
+    live = weakref.WeakSet()
+    most = [0]
+
+    def factory(**params):
+        module = SIMDALU(**params)
+        live.add(module)
+        most[0] = max(most[0], len(live))
+        return module
+
+    return factory, live, lambda: most[0]
+
+
 class TestChunkedExplorerStreaming:
     """The exhaustive sweep streams factory->predict in chunks, with
     identical results and bounded live modules."""
@@ -296,10 +312,13 @@ class TestChunkedExplorerStreaming:
         assert _metrics(r_big.points) == _metrics(r_small.points)
 
     def test_peak_live_modules_bounded_by_chunk(self, tiny_sns):
-        engine = ExplorationEngine(SIMDALU, tiny_sns, self.GRID)
+        """Measured: modules are dropped one by one, whatever the chunk."""
+        factory, live, peak = live_module_probe()
+        engine = ExplorationEngine(factory, tiny_sns, self.GRID)
         for chunk in (3, 5):
-            peak = engine.explore(chunk=chunk).profile.peak_live_modules
-            assert 0 < peak <= chunk
+            engine.explore(chunk=chunk)
+            assert peak() == 1
+            assert len(live) == 0
 
     def test_invalid_chunk_size(self, tiny_sns):
         engine = ExplorationEngine(SIMDALU, tiny_sns, self.GRID)
@@ -307,9 +326,11 @@ class TestChunkedExplorerStreaming:
             engine.explore(chunk=0)
 
     def test_engine_with_sns_chunk_invariant(self, tiny_sns):
+        factory, live, peak = live_module_probe()
+
         def run(chunk):
             engine = ExplorationEngine(
-                SIMDALU, tiny_sns, self.GRID,
+                factory, tiny_sns, self.GRID,
                 config=EngineConfig(budget=10, predict_budget=6, block=5,
                                     chunk=chunk, seed=1, refit_every=3,
                                     min_fit=3))
@@ -317,4 +338,5 @@ class TestChunkedExplorerStreaming:
 
         r1, r2 = run(2), run(12)
         assert _metrics(r1.points) == _metrics(r2.points)
-        assert r1.profile.peak_live_modules == 1
+        assert peak() == 1
+        assert len(live) == 0

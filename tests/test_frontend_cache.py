@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro import obs
 from repro.core.sampler import PathSampler
 from repro.designs import standard_designs
 from repro.graphir import CompiledGraph
 from repro.runtime import (FrontendCache, compile_design, compile_module,
-                           compile_source, compile_source_profiled,
-                           fingerprint_frontend_module,
+                           compile_source, fingerprint_frontend_module,
                            fingerprint_frontend_source)
 from repro.store import ArtifactStore, DirectoryBackend
 
@@ -59,12 +59,21 @@ class TestSourceCache:
         assert fingerprint_frontend_source(SRC, defines={"X": "1"}) != base
 
     def test_profiled_hit_and_miss(self):
+        """A miss records the lex/parse/elaborate spans; a hit records
+        only the graph lookup and one graph hit."""
         cache = FrontendCache()
-        cg1, p1 = compile_source_profiled(SRC, cache=cache)
-        assert not p1.cache_hit
-        assert p1.elaborate_s > 0
-        cg2, p2 = compile_source_profiled(SRC, cache=cache)
-        assert p2.cache_hit
+        with obs.record() as miss:
+            cg1 = compile_source(SRC, cache=cache)
+        spans = miss.as_dict()["spans"]
+        assert list(spans) == ["frontend.graph_lookup", "verilog.lex",
+                               "verilog.parse", "verilog.elaborate"]
+        assert all(spans[n]["calls"] == 1 for n in spans)
+        assert spans["verilog.elaborate"]["seconds"] > 0
+        assert miss.counters == {}
+        with obs.record() as hit:
+            cg2 = compile_source(SRC, cache=cache)
+        assert list(hit.as_dict()["spans"]) == ["frontend.graph_lookup"]
+        assert hit.counters == {"frontend.graph_hits": 1}
         assert cg2 is cg1
 
 

@@ -22,7 +22,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import nn, obs
 from repro.core.aggregator import AggregationMLP
 from repro.core.circuitformer import Circuitformer, CircuitformerConfig, encode_batch
 from repro.core.sampler import PathSampler
@@ -145,19 +145,29 @@ class TestBucketedMode:
         engine = TrainingEngine(bucketed=True, encoding_cache=EncodingCache())
         model = Circuitformer(TINY_CF, seed=0)
         config = TrainingConfig(circuitformer_epochs=2, circuitformer_batch=16)
-        hist = engine.train_circuitformer(model, records, config)
+        with obs.record() as recorder:
+            hist = engine.train_circuitformer(model, records, config)
         assert len(hist) == 2
         assert all(np.isfinite(s.train_loss) and np.isfinite(s.val_loss)
                    for s in hist)
-        profile = engine.last_profile
-        assert profile is not None and profile.model == "circuitformer"
-        assert profile.steps > 0 and profile.steps_per_sec > 0
-        assert set(profile.phase_seconds) == {
-            "prepare", "forward", "backward", "optimizer", "validation"}
-        assert sum(profile.bucket_rows.values()) == len(records)
+        run = recorder.as_dict()["spans"]["trainer.circuitformer"]
+        assert run["calls"] == 1 and run["seconds"] > 0
+        assert set(run["children"]) == {
+            "trainer.prepare", "trainer.forward", "trainer.backward",
+            "trainer.optimizer", "trainer.validation"}
+        counters = recorder.counters
+        steps = counters["trainer.circuitformer.steps"]
+        assert steps > 0 and counters["trainer.circuitformer.epochs"] == 2
+        assert run["children"]["trainer.optimizer"]["calls"] == steps
+        buckets = {k: v for k, v in counters.items()
+                   if k.startswith("trainer.bucket_rows.")}
+        assert sum(buckets.values()) == len(records)
         # Every epoch past the first reuses the prepared encodings.
-        assert profile.encoding_stats["misses"] == len(profile.bucket_rows)
-        assert "steps/s" in profile.format()
+        assert counters["trainer.encoding.misses"] == len(buckets)
+        assert counters["trainer.encoding.hits"] == 0
+        assert "trainer.pool.hits" in counters
+        text = recorder.format()
+        assert "  trainer.backward" in text and "trainer.bucket_rows." in text
 
     def test_batches_cover_every_row_once(self, records):
         engine = TrainingEngine(bucketed=True)

@@ -138,6 +138,41 @@ class TestPredictParity:
             assert status == 404
             client.close()
 
+    def test_bad_activity_coefficients_are_400s(self, tiny_sns):
+        """NaN, infinite and negative coefficients name their node and
+        are rejected before any batcher exists."""
+        sns, entries = tiny_sns
+        dffs = entries["gpio16"].module.elaborate().ids_of_type("dff")
+        server, thread = serve(sns)
+        with thread as handle:
+            client = ServeClient("127.0.0.1", handle.port)
+            for bad in ("nan", "inf", -5.0):
+                activity = {str(i): 0.25 for i in dffs}
+                activity[str(dffs[-1])] = bad
+                status, doc = client.post("/predict", {
+                    "design": "gpio16", "activity": activity})
+                assert status == 400, doc
+                assert f"node {dffs[-1]}" in doc["error"]
+            client.close()
+        assert server._batchers == {}
+
+    def test_activity_map_bit_identical(self, tiny_sns):
+        sns, entries = tiny_sns
+        module = entries["gpio16"].module
+        activity = {i: 0.05 + 0.01 * k for k, i in
+                    enumerate(module.elaborate().ids_of_type("dff"))}
+        _, thread = serve(sns)
+        with thread as handle:
+            client = ServeClient("127.0.0.1", handle.port)
+            status, doc = client.post("/predict", {
+                "design": "gpio16",
+                "activity": {str(i): v for i, v in activity.items()}})
+            client.close()
+        assert status == 200, doc
+        direct = sns.predict(module, activity=activity)
+        assert (doc["timing_ps"], doc["area_um2"], doc["power_mw"]) == (
+            direct.timing_ps, direct.area_um2, direct.power_mw)
+
     def test_precision_other_than_fp64_is_400(self, tiny_sns):
         """The server runs fp64 only: any other precision is rejected by
         name, and rejected requests create no extra batcher."""
@@ -484,6 +519,53 @@ class TestStaleness:
             param.data = original
 
 
+class TestShutdown:
+    def test_idle_connection_does_not_hold_the_drain(self, tiny_sns):
+        """``stop`` drops an idle keep-alive client at once and waits only
+        for the request in flight, which still gets its answer."""
+        sns, _ = tiny_sns
+        server = PredictionServer(ServeConfig(max_batch=8, max_wait_ms=5.0))
+        server.add_model(sns, "default")
+        engine = server.registry.get("default").predictor
+        real_predict = engine.predict_batch
+        entered = threading.Event()
+
+        def slow_predict(graphs, activity_maps=None):
+            entered.set()
+            time.sleep(1.0)
+            return real_predict(graphs, activity_maps=activity_maps)
+
+        engine.predict_batch = slow_predict
+        handle = ServerThread(server, drain_timeout=5.0).start()
+        idle = ServeClient("127.0.0.1", handle.port)
+        assert idle.get("/healthz")[0] == 200   # socket left open
+        answer = {}
+
+        def slow_request():
+            client = ServeClient("127.0.0.1", handle.port)
+            answer["status"], _ = client.post("/predict", {"design": "gpio16"})
+            answer["at"] = time.monotonic()
+            client.close()
+
+        worker = threading.Thread(target=slow_request)
+        worker.start()
+        assert entered.wait(timeout=30.0)
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        sock = idle._conn.sock
+        sock.settimeout(30.0)
+        assert sock.recv(1) == b""              # the server hung up
+        idle_closed = time.monotonic()
+        stopper.join(timeout=30.0)
+        stopped = time.monotonic()
+        worker.join(timeout=30.0)
+        idle.close()
+        assert not stopper.is_alive() and not worker.is_alive()
+        assert answer["status"] == 200
+        assert idle_closed < answer["at"]
+        assert stopped - answer["at"] < 1.0
+
+
 class TestCli:
     def test_serve_cli_round_trip_and_sigint_drain(self, tiny_sns, tmp_path):
         """`repro serve` boots from an .npz, serves, and drains on SIGINT."""
@@ -571,7 +653,10 @@ class TestTrainAndDse:
         assert status == 200, doc
         assert bad == 400
         assert doc["explored"] >= 1
+        assert doc["candidates"] >= doc["explored"]
         assert doc["front_size"] >= 1
+        explore = doc["profile"]["spans"]["dse.explore"]
+        assert explore["calls"] == 1 and "dse.evaluate" in explore["children"]
         for corner in ("high_perf", "power_eff", "area_eff"):
             point = doc[corner]
             assert point["timing_ps"] > 0

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datagen import (build_design_dataset, build_design_dataset_profiled,
-                           sample_path_dataset)
+from repro import obs
+from repro.datagen import build_design_dataset, sample_path_dataset
 from repro.designs import standard_designs
 from repro.graphir import CompiledGraph, GraphBuilder, Vocabulary
 from repro.runtime.parallel import _synthesize_one_entry
@@ -283,22 +283,30 @@ def test_build_design_dataset_workers_and_cache_bit_identical(tmp_path):
 
 def test_build_design_dataset_profile(tmp_path):
     entries = small_entries(4)
-    records, cold = build_design_dataset_profiled(
-        entries, Synthesizer(effort="low"), cache_dir=tmp_path / "c")
-    _, warm = build_design_dataset_profiled(
-        entries, Synthesizer(effort="low"), cache_dir=tmp_path / "c")
-    assert cold.num_designs == len(records) == len(entries)
-    assert cold.cache_misses == len(entries) and cold.cache_hits == 0
-    assert warm.cache_hits == len(entries) and warm.cache_misses == 0
-    assert set(cold.synth_seconds) == {r.name for r in records}
-    assert cold.wall_s > 0 and cold.designs_per_sec > 0
-    assert "designs" in cold.format() and "cache" in warm.format()
+    with obs.record() as cold:
+        records = build_design_dataset(
+            entries, Synthesizer(effort="low"), cache_dir=tmp_path / "c")
+    with obs.record() as warm:
+        build_design_dataset(
+            entries, Synthesizer(effort="low"), cache_dir=tmp_path / "c")
+    assert len(records) == len(entries)
+    assert cold.counters == {"datagen.workers": 1,
+                             "datagen.synth_cache.hits": 0,
+                             "datagen.synth_cache.misses": len(entries)}
+    assert warm.counters["datagen.synth_cache.hits"] == len(entries)
+    assert warm.counters["datagen.synth_cache.misses"] == 0
+    build = cold.as_dict()["spans"]["datagen.build"]
+    assert build["calls"] == 1 and build["seconds"] > 0
+    assert set(build["children"]) == {f"datagen.design.{r.name}"
+                                      for r in records}
+    assert "datagen.synth_cache.hits" in warm.format()
 
 
 def test_build_design_dataset_profile_respects_max_nodes():
     entries = small_entries(4)
-    records, profile = build_design_dataset_profiled(
-        entries, Synthesizer(effort="low"), max_nodes=1)
-    assert records == [] and profile.num_designs == 0
-    assert profile.cache_hits == 0 and profile.cache_misses == 0
-    assert profile.synth_seconds == {}
+    with obs.record() as recorder:
+        records = build_design_dataset(
+            entries, Synthesizer(effort="low"), max_nodes=1)
+    assert records == []
+    assert recorder.counters == {"datagen.workers": 1}
+    assert recorder.as_dict()["spans"]["datagen.build"]["children"] == {}
