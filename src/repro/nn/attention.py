@@ -45,7 +45,8 @@ class MultiHeadSelfAttention(Module):
         # (B, S, D) -> (B, H, S, Dh)
         return x.reshape(batch, seq, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
+    def context(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
+        """Attention-weighted values with the heads merged, before ``out_proj``."""
         batch, seq, _ = x.shape
         q = self._split_heads(self.q_proj(x), batch, seq)
         k = self._split_heads(self.k_proj(x), batch, seq)
@@ -60,8 +61,10 @@ class MultiHeadSelfAttention(Module):
         weights = scores.softmax(axis=-1)
         weights = self.dropout(weights)
         context = weights.matmul(v)  # (B, H, S, Dh)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
-        return self.out_proj(merged)
+        return context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
+
+    def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
+        return self.out_proj(self.context(x, key_padding_mask))
 
 
 class TransformerEncoderLayer(Module):
@@ -79,10 +82,20 @@ class TransformerEncoderLayer(Module):
         self.norm2 = LayerNorm(d_model)
         self.dropout = Dropout(dropout, rng=rng)
 
-    def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
-        x = self.norm1(x + self.dropout(self.attn(x, key_padding_mask)))
+    def finish(self, x: Tensor, context: Tensor) -> Tensor:
+        """Everything after attention: ``out_proj``, residual, ``norm1``,
+        feed-forward, ``norm2``.
+
+        Every op here is position-wise, so it may run on any subset of
+        the rows of ``x`` and ``context`` (inference runs the last layer's
+        on the CLS rows only).
+        """
+        x = self.norm1(x + self.dropout(self.attn.out_proj(context)))
         ff = self.ff2(self.dropout(self.ff1(x).gelu()))
         return self.norm2(x + self.dropout(ff))
+
+    def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
+        return self.finish(x, self.attn.context(x, key_padding_mask))
 
 
 class TransformerEncoder(Module):

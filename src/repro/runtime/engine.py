@@ -16,7 +16,9 @@ from looping ``SNS.predict`` in three ways:
 3. **Content-addressed caching** — each (graph, model weights, sampler
    config, activity map) tuple is fingerprinted; repeat evaluations skip
    sampling and inference entirely, and any weight or config change
-   invalidates automatically.
+   invalidates automatically.  A batch reads every key with one
+   ``get_many`` and writes its new entries with one ``put_many``: one
+   round trip each way on a persistent store.
 """
 
 from __future__ import annotations
@@ -131,12 +133,6 @@ class BatchPredictor:
         serving time.
     """
 
-    # Forward-pass chunk size handed to ``predict_unique``: 32 rows keep
-    # each flattened GEMM inside the CPU cache; on a pooled bucket that
-    # measures ~25% faster than 128-row chunks, and the kernel's output
-    # is chunk-size independent.
-    BATCH_SIZE = 32
-
     def __init__(self, sns: SNS, store: ArtifactStore | None = None,
                  caching: bool = True, encoding_cache=None,
                  frontend_cache=None):
@@ -173,22 +169,22 @@ class BatchPredictor:
         graphs = [compile_design(d, self.frontend_cache) for d in designs]
         activities = resolve_activity_maps(graphs, activity_maps)
 
-        results: list[SNSPrediction | None] = [None] * len(graphs)
-        keys: list[str | None] = [None] * len(graphs)
+        results: list[dict | None] = [None] * len(graphs)
         pending: dict[str | int, list[int]] = {}
         if self.caching:
             model_fp = fingerprint_model(self.sns)
             sampler_fp = fingerprint_sampler(self.sns.sampler)
-            for i, (graph, activity) in enumerate(zip(graphs, activities)):
-                keys[i] = cache_key(fingerprint_graph(graph), model_fp,
-                                    sampler_fp, fingerprint_activity(activity))
-                entry = self.store.get("prediction", keys[i])
-                if entry is not None:
-                    results[i] = entry
+            keys = [cache_key(fingerprint_graph(graph), model_fp, sampler_fp,
+                              fingerprint_activity(activity))
+                    for graph, activity in zip(graphs, activities)]
+            hits = self.store.get_many("prediction", keys)
+            for i, key in enumerate(keys):
+                if key in hits:
+                    results[i] = hits[key]
                 else:
                     # Identical (graph, activity) pairs inside one batch
                     # collapse onto one computation.
-                    pending.setdefault(keys[i], []).append(i)
+                    pending.setdefault(key, []).append(i)
         else:
             for i in range(len(graphs)):
                 pending[i] = [i]
@@ -209,8 +205,7 @@ class BatchPredictor:
 
         # ---- one pooled, bucketed inference pass over unique sequences
         physical = (self.sns.circuitformer.predict_unique(
-            list(unique), batch_size=self.BATCH_SIZE,
-            encoding_cache=self.encoding_cache)
+            list(unique), encoding_cache=self.encoding_cache)
             if unique else np.zeros((0, 3)))
 
         # ---- aggregate per pending group, fill every member
@@ -222,10 +217,11 @@ class BatchPredictor:
                 graphs[first], paths, preds, activities[first])
             entry = _entry_from_parts(timing, area, power, len(paths),
                                       spread, critical)
-            if self.caching:
-                self.store.put("prediction", key, entry)
             for i in members:
                 results[i] = entry
+        if self.caching and pending:
+            self.store.put_many("prediction", {
+                key: results[members[0]] for key, members in pending.items()})
 
         per_design = (time.perf_counter() - start) / len(graphs)
         return [_prediction_from_entry(entry, graphs[i].name, per_design)

@@ -128,6 +128,7 @@ class SQLiteBackend:
 
     def get_many(self, kind: str, keys: list[str]) -> dict[str, dict]:
         found: dict[str, dict] = {}
+        torn: list[str] = []
         try:
             conn = self._conn()
             for lo in range(0, len(keys), self._CHUNK):
@@ -139,10 +140,14 @@ class SQLiteBackend:
                     (kind, *chunk)).fetchall()
                 for key, blob in rows:
                     value = self._decode(blob)
-                    if value is not None:
+                    if value is None:
+                        torn.append(key)
+                    else:
                         found[key] = value
         except sqlite3.Error:
-            return found
+            pass
+        for key in torn:
+            self.delete(kind, key)  # heal, as in ``get``
         return found
 
     def put(self, kind: str, key: str, value: dict,

@@ -154,29 +154,36 @@ class ArtifactStore:
 
     def get_many(self, kind: str, keys: list[str]) -> dict[str, dict]:
         """Batched lookup: memory tier first, one backend round trip for
-        the rest.  Returns only the keys that hit."""
+        the rest.  Returns only the keys that hit.  The counters read as
+        a loop of :meth:`get` over ``keys`` would: a repeated key the
+        backend supplies is one persistent hit, then memory hits."""
         found: dict[str, dict] = {}
-        missing: list[str] = []
+        missing: dict[str, int] = {}     # key -> occurrences in ``keys``
         with self._lock:
             for key in keys:
+                if key in missing:
+                    missing[key] += 1
+                    continue
                 value = self._payloads.get((kind, key))
                 if value is not None:
                     self._payloads.move_to_end((kind, key))
+                    self._bump(kind, "memory_hits")
                     found[key] = value
                 else:
-                    missing.append(key)
-            self._bump(kind, "memory_hits", len(found))
-        if missing and self.backend is not None:
-            fetched = self.backend.get_many(kind, missing)
-            with self._lock:
-                self._bump(kind, "persistent_hits", len(fetched))
-                self._bump(kind, "misses", len(missing) - len(fetched))
-                for key, value in fetched.items():
-                    self._insert(self._payloads, (kind, key), value)
-            found.update(fetched)
-        elif missing:
-            with self._lock:
-                self._bump(kind, "misses", len(missing))
+                    missing[key] = 1
+        if not missing:
+            return found
+        fetched = (self.backend.get_many(kind, list(missing))
+                   if self.backend is not None else {})
+        with self._lock:
+            for key, count in missing.items():
+                if key in fetched:
+                    self._insert(self._payloads, (kind, key), fetched[key])
+                    self._bump(kind, "persistent_hits")
+                    self._bump(kind, "memory_hits", count - 1)
+                else:
+                    self._bump(kind, "misses", count)
+        found.update(fetched)
         return found
 
     def put_many(self, kind: str, items: dict[str, dict],

@@ -118,6 +118,21 @@ class TestPredictionKindConcurrency:
         fresh.put("prediction", "goodkey", {"v": 2})
         assert dir_store(tmp_path).get("prediction", "goodkey") == {"v": 2}
 
+    def test_partial_entry_heals_on_batched_read(self, tmp_path):
+        """The same torn row, read and rewritten only through
+        ``get_many``/``put_many`` (the route ``BatchPredictor`` takes)."""
+        dir_store(tmp_path).put_many("prediction", {"goodkey": {"v": 1}})
+
+        fresh = dir_store(tmp_path)
+        fresh.backend._conn().execute(
+            "UPDATE artifacts SET value = ? WHERE key = ?",
+            (b'{"v": 1', "goodkey"))
+        assert fresh.get_many("prediction", ["goodkey"]) == {}
+        assert fresh.counters(("prediction",))["misses"] == 1
+        fresh.put_many("prediction", {"goodkey": {"v": 2}})
+        assert dir_store(tmp_path).get_many("prediction", ["goodkey"]) == \
+            {"goodkey": {"v": 2}}
+
 
 class TestFrontendCacheConcurrency:
     def test_graph_tier_hammer(self, tmp_path):

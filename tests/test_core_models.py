@@ -127,6 +127,11 @@ class TestCircuitformer:
         with pytest.raises(ValueError):
             Circuitformer(CircuitformerConfig(vocab_size=50))
 
+    def test_needs_an_encoder_layer(self):
+        # Inference finishes the last layer on CLS rows, so there must be one.
+        with pytest.raises(ValueError, match="hidden_layers"):
+            Circuitformer(CircuitformerConfig(hidden_layers=0))
+
     def test_predict_paths_physical_nonnegative(self):
         model = Circuitformer(TINY)
         preds = model.predict_paths([("io8", "mul16", "add16", "dff16"),

@@ -227,6 +227,42 @@ class TestCache:
         assert store.counters(("prediction",))["persistent_hits"] == 2
         assert first[0].timing_ps == second[0].timing_ps
 
+    def test_one_round_trip_each_way(self, tiny_sns, tmp_path):
+        """A 41-design batch on a ``.sqlite`` store reads every key with
+        one backend ``get_many`` and writes every new entry with one
+        ``put_many``.  Warm (fresh process tiers on the same file) it
+        makes the one read and has nothing to write.  Both passes equal
+        per-design ``SNS.predict``."""
+        sns, _ = tiny_sns
+        graphs = [e.module.elaborate() for e in standard_designs()]
+        serial = [(p.timing_ps, p.area_um2, p.power_mw)
+                  for p in map(sns.predict, graphs)]
+
+        def run():
+            backend = open_backend(tmp_path / "store.sqlite")
+            calls = []
+            for name in ("get", "get_many", "put", "put_many"):
+                def record(*args, _name=name, _method=getattr(backend, name),
+                           **kwargs):
+                    calls.append(_name)
+                    return _method(*args, **kwargs)
+                setattr(backend, name, record)
+            store = ArtifactStore(backend=backend)
+            preds = BatchPredictor(sns, store=store).predict_batch(graphs)
+            backend.close()
+            assert [(p.timing_ps, p.area_um2, p.power_mw)
+                    for p in preds] == serial
+            return calls, store.counters(("prediction",))
+
+        calls, counters = run()
+        assert len(graphs) == 41
+        assert calls == ["get_many", "put_many"]
+        assert counters["misses"] == 41
+        calls, counters = run()
+        assert calls == ["get_many"]
+        assert counters["misses"] == 0
+        assert counters["persistent_hits"] + counters["memory_hits"] == 41
+
     def test_lru_eviction(self, tiny_sns, graphs):
         sns, _ = tiny_sns
         engine = BatchPredictor(sns, store=ArtifactStore(max_entries=2))

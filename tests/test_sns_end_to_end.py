@@ -101,17 +101,23 @@ class TestPredict:
 
 class TestSpeed:
     def test_sns_faster_than_synthesizer_on_big_design(self, fitted_sns):
-        """The Figure 7 shape: SNS inference beats synthesis wall-clock."""
+        """The Figure 7 shape: SNS inference beats synthesis wall-clock.
+
+        Each side is the best of three calls on the same design, so one
+        pause inside a single timed call cannot decide the comparison.
+        """
         import time
         sns, _, _ = fitted_sns
         from repro.designs import get_design
         graph = get_design("gemmini16x16").module.elaborate()
         synth = Synthesizer(effort="high")
-        t0 = time.perf_counter()
-        synth.synthesize(graph)
-        synth_time = time.perf_counter() - t0
-        pred = sns.predict(graph)
-        assert pred.runtime_s < synth_time
+        synth_times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            synth.synthesize(graph)
+            synth_times.append(time.perf_counter() - t0)
+        predict_time = min(sns.predict(graph).runtime_s for _ in range(3))
+        assert predict_time < min(synth_times)
 
 
 class TestUncertainty:

@@ -108,6 +108,17 @@ class TestCorruptionTolerance:
         backend.put("synth", KEY_A, {"v": "healed"})
         assert backend.get("synth", KEY_A) == {"v": "healed"}
 
+    def test_sqlite_corrupt_row_deleted_by_batched_read(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "s.sqlite")
+        backend.put("synth", KEY_B, {"v": 2})
+        backend._conn().execute(
+            "INSERT INTO artifacts (kind, key, value, size, created_at) "
+            "VALUES (?, ?, ?, ?, ?)",
+            ("synth", KEY_A, b"\x00\xffnot json", 10, 0.0))
+        assert backend.get_many("synth", [KEY_A, KEY_B]) == {KEY_B: {"v": 2}}
+        assert not backend.contains("synth", KEY_A)
+        assert backend.contains("synth", KEY_B)
+
     def test_sqlite_garbage_file_reads_as_miss(self, tmp_path):
         path = tmp_path / "broken.sqlite"
         path.write_bytes(b"definitely not a database" * 100)
@@ -204,6 +215,24 @@ class TestArtifactStoreTiers:
         assert counters["memory_hits"] == 1
         assert counters["persistent_hits"] == 2
         assert counters["misses"] == 1
+
+    def test_get_many_counts_like_a_get_loop(self, tmp_path):
+        """Repeated keys (a batch holding one design twice) count per
+        occurrence, exactly as one ``get`` per key would."""
+        backend = SQLiteBackend(tmp_path / "s.sqlite")
+        ArtifactStore(backend=backend).put("prediction", KEY_A, {"v": 1})
+        asked = [KEY_A, KEY_B, KEY_A, KEY_C, KEY_B, KEY_A]
+        looped = ArtifactStore(backend=backend)
+        looped.put("prediction", KEY_C, {"v": 3})
+        for key in asked:
+            looped.get("prediction", key)
+        batched = ArtifactStore(backend=backend)
+        batched.put("prediction", KEY_C, {"v": 3})
+        found = batched.get_many("prediction", asked)
+        assert found == {KEY_A: {"v": 1}, KEY_C: {"v": 3}}
+        assert batched.counters() == looped.counters()
+        assert batched.counters()["persistent_hits"] == 1
+        assert batched.counters()["misses"] == 2
 
 
 class TestObjectTier:
