@@ -33,9 +33,9 @@ def _order_pairs(rng, synth, count):
         extras = [str(rng.choice(["xor", "mux", "and"])) + str(width)
                   for _ in range(n_extra)]
         w2 = str(min(2 * width, 64))
-        for middle in (["mul" + w2, "add" + w2], ["add" + w2, "mul" + w2]):
-            tokens = tuple(prefix + extras + middle + ["dff" + w2])
-            label = synth.synthesize_path(list(tokens))
+        pair = [tuple(prefix + extras + middle + ["dff" + w2])
+                for middle in (["mul" + w2, "add" + w2], ["add" + w2, "mul" + w2])]
+        for tokens, label in zip(pair, synth.synthesize_path_batch(pair)):
             records.append(PathRecord(tokens, label.timing_ps,
                                       label.area_um2, label.power_mw))
     return records

@@ -27,7 +27,8 @@ def test_ablation_sampling_k(benchmark):
             paths = sampler.sample(graph)
             covered = {n for p in paths for n in p.node_ids}
             max_timing = max(
-                (synth.synthesize_path(list(p.tokens)).timing_ps for p in paths),
+                (r.timing_ps for r in synth.synthesize_path_batch(
+                    [p.tokens for p in paths])),
                 default=0.0)
             rows.append((k, len(paths), len(covered) / graph.num_nodes, max_timing))
         return rows

@@ -1,14 +1,15 @@
-"""Throughput of the array-compiled synthesis engine (``repro.synth.engine``).
+"""Throughput of the compiled synthesis kernels in ``repro.synth``.
 
-Two measurements against the reference implementations, both asserted
-bit-identical before any speed claim:
+Two measurements against the per-cell reference synthesizer, the test
+oracle ``tests/oracles/synth.py``, both asserted bit-identical before
+any speed claim:
 
 - **designs/sec** — synthesize the full 41-design standard registry at
-  medium effort with ``Synthesizer(engine="reference")`` vs
-  ``Synthesizer(engine="array")`` (compiled netlist, vectorized
-  level-sweep STA, incremental gate sizing);
+  medium effort with the oracle's ``ReferenceSynthesizer`` (dict-walk
+  STA, per-cell gate sizing) vs ``Synthesizer`` (compiled netlist,
+  vectorized level-sweep STA, incremental gate sizing);
 - **paths/sec** — label a deterministic pool of token chains (lengths
-  1-12 over the full 79-token vocabulary) with per-path
+  1-12 over the full 79-token vocabulary) with the oracle's per-path
   ``synthesize_path`` vs one ``synthesize_path_batch`` call.
 
 Results land in ``BENCH_synth.json`` at the repo root so the perf
@@ -18,6 +19,7 @@ trajectory is tracked in-tree.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -29,7 +31,13 @@ from repro.synth import Synthesizer
 
 from conftest import run_once
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_synth.json"
+ROOT = Path(__file__).resolve().parent.parent
+# ``pytest benchmarks/...`` puts only this directory on sys.path; the
+# per-cell reference synthesizer is a test oracle under the repository root.
+sys.path.insert(0, str(ROOT))
+from tests.oracles.synth import ReferenceSynthesizer  # noqa: E402
+
+BENCH_JSON = ROOT / "BENCH_synth.json"
 
 NUM_PATHS = 400
 MAX_PATH_LEN = 12
@@ -56,8 +64,8 @@ def _results_equal(a, b) -> bool:
 def measure() -> dict:
     entries = standard_designs()
     graphs = [(e.name, e.module.elaborate()) for e in entries]
-    reference = Synthesizer(effort="medium", engine="reference")
-    array = Synthesizer(effort="medium", engine="array")
+    reference = ReferenceSynthesizer(effort="medium")
+    array = Synthesizer(effort="medium")
 
     # Warm both paths on one design first (library memo tables, vocab
     # singleton, numpy init) so neither timed loop pays one-off costs.
@@ -115,7 +123,7 @@ def measure() -> dict:
 def test_synth_throughput(benchmark):
     d = run_once(benchmark, measure)
 
-    print("\nArray-compiled synthesis engine throughput:")
+    print("\nSynthesis throughput against the per-cell oracle:")
     print(f"  designs  reference {d['designs_per_second']['reference']:8.1f}/s  "
           f"array {d['designs_per_second']['array']:8.1f}/s  "
           f"({d['design_speedup']:.2f}x)")

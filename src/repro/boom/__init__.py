@@ -11,12 +11,12 @@ from .config import (BRANCH_PREDICTORS, EXTENDED_SPACE, TABLE10, BoomConfig,
                      boom_grid, extended_grid, full_design_space)
 from .generator import BoomCore
 from .perf_model import COREMARK, CoreMarkModel, WorkloadProfile
-from .dse import BoomDSE, DSEPoint, DSEResult, pareto_front
+from .dse import BoomDSE, DSEPoint, DSEResult
 
 __all__ = [
     "BRANCH_PREDICTORS", "TABLE10", "EXTENDED_SPACE", "BoomConfig",
     "full_design_space", "boom_grid", "extended_grid",
     "BoomCore",
     "COREMARK", "CoreMarkModel", "WorkloadProfile",
-    "BoomDSE", "DSEPoint", "DSEResult", "pareto_front",
+    "BoomDSE", "DSEPoint", "DSEResult",
 ]

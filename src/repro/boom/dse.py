@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import SNS
+from ..dse.engine import pareto_points
 from ..synth import Synthesizer
 from .config import BoomConfig
 from .generator import BoomCore
 from .perf_model import CoreMarkModel
 
-__all__ = ["DSEPoint", "DSEResult", "BoomDSE", "pareto_front"]
+__all__ = ["DSEPoint", "DSEResult", "BoomDSE"]
 
 
 @dataclass(frozen=True)
@@ -56,27 +57,12 @@ class DSEResult:
     @property
     def pareto_power(self) -> tuple[DSEPoint, ...]:
         """Pareto frontier in (power, score) space."""
-        return pareto_front(self.points, lambda p: p.power_mw)
+        return pareto_points(self.points, cost="power_mw")
 
     @property
     def pareto_area(self) -> tuple[DSEPoint, ...]:
         """Pareto frontier in (area, score) space."""
-        return pareto_front(self.points, lambda p: p.area_um2)
-
-
-def pareto_front(points, cost_key) -> tuple[DSEPoint, ...]:
-    """Points not dominated in (minimize cost, maximize score).
-
-    Served by the incremental 2-objective front
-    (:class:`repro.dse.pareto.ParetoFront`); output order (ascending
-    cost) matches the old sort-based extraction exactly.
-    """
-    from ..dse.pareto import ParetoFront
-
-    front = ParetoFront(2, maximize=(False, True))
-    for p in points:
-        front.add((cost_key(p), p.score), p)
-    return tuple(front.items())
+        return pareto_points(self.points, cost="area_um2")
 
 
 class BoomDSE:

@@ -54,8 +54,7 @@ def augment_path_dataset(sampled: list[PathRecord],
         generated.extend(gan.generate(config.seqgan_paths, exclude=seen))
 
     out = list(sampled)
-    # Batched labeling of the synthetic paths — bit-identical to calling
-    # synthesize_path once per generated sequence.
+    # One batched labeling call over the synthetic paths.
     labels = synthesizer.synthesize_path_batch([list(t) for t in generated])
     for tokens, label in zip(generated, labels):
         out.append(PathRecord(

@@ -123,7 +123,7 @@ def sample_path_dataset(records: list[DesignRecord],
             seen.add(path.tokens)
             unique.append(path.tokens)
     # One batched labeling call over the deduped paths (first-seen order
-    # preserved) — bit-identical to per-path synthesize_path.
+    # preserved).
     labels = synthesizer.synthesize_path_batch([list(t) for t in unique])
     return [PathRecord(
         tokens=tokens,

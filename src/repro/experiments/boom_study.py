@@ -47,12 +47,7 @@ def strided_subspace(stride: int) -> list[BoomConfig]:
 def run_boom_study(sns: SNS, configs: list[BoomConfig] | None = None,
                    verify_samples: int = 8, synth_effort: str = "medium",
                    seed: int = 0, verbose: bool = False) -> BoomStudyReport:
-    """Run the DSE plus the synthesized spot check.
-
-    The spot check runs on the array synthesis engine — its labels are
-    bit-identical to the reference, and nothing here times the
-    synthesizer, so the faster kernel is free accuracy-wise.
-    """
+    """Run the DSE plus the synthesized spot check."""
     configs = configs if configs is not None else full_design_space()
     dse = BoomDSE(predictor=sns)
     result = dse.run(configs, verbose=verbose)

@@ -48,8 +48,6 @@ class Table12Report:
 def table12_prediction(sns: SNS) -> Table12Report:
     """Predict the published DianNao configuration and compare to the
     technology-scaled original (Table 12).
-
-    The reference row is synthesized on the (bit-identical) array engine.
     """
     scaled = scale_result(DIANNAO_65NM["timing_ps"], DIANNAO_65NM["area_um2"],
                           DIANNAO_65NM["power_mw"], from_nm=65, to_nm=15)

@@ -1,10 +1,10 @@
 """The runtime experiment: Figure 7 and Table 9 (Section 5.4).
 
-Measures wall-clock SNS prediction time against the reference
-synthesizer on every dataset design, reporting per-design speedups and
-the average.  ``desktop_factor`` models the paper's second experiment —
-running SNS on a weaker desktop while the synthesizer keeps the server —
-by scaling SNS runtimes.
+Measures wall-clock SNS prediction time against the synthesizer that
+labels the datasets, on every dataset design, reporting per-design
+speedups and the average.  ``desktop_factor`` models the paper's second
+experiment — running SNS on a weaker desktop while the synthesizer
+keeps the server — by scaling SNS runtimes.
 """
 
 from __future__ import annotations
@@ -67,20 +67,13 @@ class RuntimeReport:
 
 def runtime_comparison(sns: SNS, records: list[DesignRecord],
                        synth_effort: str = "high",
-                       desktop_factor: float = 1.0,
-                       synth_engine: str = "reference") -> RuntimeReport:
+                       desktop_factor: float = 1.0) -> RuntimeReport:
     """Wall-clock SNS vs synthesizer on each design.
 
     ``desktop_factor > 1`` slows the SNS side to model the desktop
     platform of Table 9 (the synthesizer stays on the 'server').
-
-    ``synth_engine`` defaults to ``"reference"``: this experiment *is*
-    the Figure 7 measurement of how slow conventional synthesis is, so
-    the timed oracle stays the original per-cell implementation.  Pass
-    ``"array"`` to instead time the vectorized engine (bit-identical
-    labels, smaller speedups).
     """
-    synthesizer = Synthesizer(effort=synth_effort, engine=synth_engine)
+    synthesizer = Synthesizer(effort=synth_effort)
     rows = []
     for record in records:
         start = time.perf_counter()

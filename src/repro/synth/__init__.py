@@ -9,12 +9,10 @@ area/power extraction, and Stillmaker-Baas technology-node scaling.
 from .library import CellCost, TechLibrary, FREEPDK15
 from .netlist import MappedCell, MappedNetlist
 from .passes import common_subexpression_elimination, mac_fusion, buffer_insertion
-from .timing import TimingReport, static_timing_analysis
+from .timing import TimingReport, CompiledNetlist, static_timing_analysis
 from .power import total_area, total_power, DEFAULT_COMB_ACTIVITY, DEFAULT_SEQ_ACTIVITY
-from .synthesizer import (SynthesisResult, PathResult, Synthesizer,
-                          path_to_graph, EFFORT_PASSES, SYNTH_ENGINES)
-from .engine import (CompiledNetlist, compile_netlist, array_sta,
-                     size_gates_array, synthesize_path_batch)
+from .paths import PathResult, synthesize_path_batch
+from .synthesizer import SynthesisResult, Synthesizer, EFFORT_PASSES
 from .cache import synthesis_cache_key
 from .scaling import NODE_FACTORS, scale_value, scale_result, ScaledResult
 from .report import TimingPath, AreaLine, PowerLine, SynthesisReport, analyze
@@ -24,12 +22,10 @@ __all__ = [
     "CellCost", "TechLibrary", "FREEPDK15",
     "MappedCell", "MappedNetlist",
     "common_subexpression_elimination", "mac_fusion", "buffer_insertion",
-    "TimingReport", "static_timing_analysis",
+    "TimingReport", "CompiledNetlist", "static_timing_analysis",
     "total_area", "total_power", "DEFAULT_COMB_ACTIVITY", "DEFAULT_SEQ_ACTIVITY",
-    "SynthesisResult", "PathResult", "Synthesizer", "path_to_graph",
-    "EFFORT_PASSES", "SYNTH_ENGINES",
-    "CompiledNetlist", "compile_netlist", "array_sta", "size_gates_array",
-    "synthesize_path_batch",
+    "PathResult", "synthesize_path_batch",
+    "SynthesisResult", "Synthesizer", "EFFORT_PASSES",
     "synthesis_cache_key",
     "NODE_FACTORS", "scale_value", "scale_result", "ScaledResult",
     "TimingPath", "AreaLine", "PowerLine", "SynthesisReport", "analyze",

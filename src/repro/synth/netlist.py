@@ -96,35 +96,3 @@ class MappedNetlist:
     @property
     def num_edges(self) -> int:
         return sum(len(v) for v in self.succ.values())
-
-    def combinational_topo_order(self) -> list[int]:
-        """Topological order treating sequential cells as path boundaries.
-
-        Edges *into* sequential cells are cut (a register launches a new
-        timing path), so any legal netlist — where every cycle passes
-        through a register — becomes a DAG.  Raises on combinational
-        loops.
-        """
-        indegree = {}
-        for cid, cell in self.cells.items():
-            if cell.is_sequential:
-                indegree[cid] = 0  # launch point
-            else:
-                indegree[cid] = len(self.pred[cid])
-        order: list[int] = []
-        frontier = [cid for cid, deg in indegree.items() if deg == 0]
-        while frontier:
-            cid = frontier.pop()
-            order.append(cid)
-            for nxt in self.succ[cid]:
-                if self.cells[nxt].is_sequential:
-                    continue  # cut edge
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    frontier.append(nxt)
-        if len(order) != len(self.cells):
-            raise ValueError(
-                f"combinational loop detected in {self.name!r}: "
-                f"{len(self.cells) - len(order)} cells unreachable in topo order"
-            )
-        return order

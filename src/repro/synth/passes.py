@@ -15,7 +15,9 @@ extraction:
 
 from __future__ import annotations
 
+from .library import FREEPDK15
 from .netlist import MappedNetlist
+from .timing import static_timing_analysis
 
 __all__ = ["common_subexpression_elimination", "mac_fusion", "buffer_insertion"]
 
@@ -45,7 +47,7 @@ def common_subexpression_elimination(net: MappedNetlist) -> int:
     return removed
 
 
-def mac_fusion(net: MappedNetlist, library=None, arrival=None) -> int:
+def mac_fusion(net: MappedNetlist, library=None) -> int:
     """Fuse mul->add pairs into `mac` cells; returns fusions performed.
 
     Fusion is cost-guarded like a commercial tool's:
@@ -59,20 +61,13 @@ def mac_fusion(net: MappedNetlist, library=None, arrival=None) -> int:
       applies — adequate for linear path labeling, where every input
       enters through the multiplier.
 
-    ``arrival`` optionally supplies a precomputed arrival map for the
-    timing guard (e.g. from the array STA engine, whose arrivals are
-    bit-identical to the reference); when omitted and a ``library`` is
-    given, one reference STA pass computes it here.
+    The timing guard reads the arrivals of the netlist as it entered the
+    pass.  One STA computes them when the first candidate reaches the
+    guard: nothing can have fused before that point, and a netlist with
+    no such candidate needs no STA at all.
     """
-    from .library import FREEPDK15
-
     cost_lib = library or FREEPDK15
-    if library is not None and arrival is None:
-        from .timing import static_timing_analysis
-
-        arrival = static_timing_analysis(net, library).arrival
-    elif library is None:
-        arrival = None
+    arrival = None
 
     fused = 0
     for cid in list(net.cells):
@@ -94,7 +89,9 @@ def mac_fusion(net: MappedNetlist, library=None, arrival=None) -> int:
                 + cost_lib.cost("add", consumer.width).area + 1e-12):
             continue
 
-        if arrival is not None:
+        if library is not None:
+            if arrival is None:
+                arrival = static_timing_analysis(net, library).arrival
             mul_cost = library.cost("mul", cell.width)
             add_cost = library.cost("add", consumer.width)
             mac_cost = library.cost("mac", mac_width)

@@ -67,6 +67,11 @@ def _find_candidate(net: MappedNetlist, report) -> tuple[int, int] | None:
         return None
     if not net.pred[preds[0]]:
         return None  # constant-driven cell; nothing to retime across
+    if endpoint in net.pred[preds[0]]:
+        # An accumulator: the cell also reads the register it feeds, so
+        # the move would wire the cell into its own input, a
+        # combinational loop.
+        return None
     return endpoint, preds[0]
 
 

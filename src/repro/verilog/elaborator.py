@@ -107,12 +107,13 @@ class ElaborationMemo:
 
 
 def _instance_key(child_def: ast.ModuleDef, child_params: dict[str, int],
-                  inputs: dict[str, Signal]):
+                  inputs: dict[str, Signal | int]):
     """Template key: module identity x parameter binding x input shape.
 
     The input shape covers each input port's bound width and its alias
-    group (which ports share one driving node) — the only properties of
-    the parent context that can influence the child's structure.
+    group (which ports share one driving node), or the value of a
+    constant tied to the port — the only properties of the instantiating
+    context that can influence the child's structure.
     """
     alias: dict[int, int] = {}
     shape = []
@@ -122,6 +123,8 @@ def _instance_key(child_def: ast.ModuleDef, child_params: dict[str, int],
         sig = inputs.get(port.name)
         if sig is None:
             shape.append((port.name, None, None))
+        elif isinstance(sig, int):
+            shape.append((port.name, "const", sig))
         else:
             group = alias.setdefault(sig.node_id, len(alias))
             shape.append((port.name, sig.width, group))
@@ -129,14 +132,14 @@ def _instance_key(child_def: ast.ModuleDef, child_params: dict[str, int],
 
 
 def _capture_instance(graph, start: int, mark: int,
-                      inputs: dict[str, Signal], child: "_ModuleScope",
+                      inputs: dict[str, Signal | int], child: "_ModuleScope",
                       child_def: ast.ModuleDef, pending_before: set[int],
                       pending_after: set[int], rel_depth: int):
     """Record what one fresh instance elaboration added to the circuit."""
     ext_map: dict[int, int] = {}
     ext_ports: list[str] = []
     for port, sig in inputs.items():
-        if sig.node_id not in ext_map:
+        if isinstance(sig, Signal) and sig.node_id not in ext_map:
             ext_map[sig.node_id] = len(ext_ports)
             ext_ports.append(port)
 
@@ -175,7 +178,7 @@ def _capture_instance(graph, start: int, mark: int,
 
 
 def _stamp_instance(circuit: Circuit, tmpl: _InstanceTemplate,
-                    inputs: dict[str, Signal]) -> dict[str, Signal]:
+                    inputs: dict[str, Signal | int]) -> dict[str, Signal]:
     """Replay a template at the circuit's current node offset."""
     graph = circuit.graph
     base = graph.next_node_id
@@ -277,7 +280,7 @@ class _ModuleScope:
 
     def __init__(self, file: ast.SourceFile, module: ast.ModuleDef,
                  circuit: Circuit, params: dict[str, int], depth: int,
-                 bound_inputs: dict[str, Signal] | None = None,
+                 bound_inputs: dict[str, Signal | int] | None = None,
                  memo: ElaborationMemo | None = None):
         if depth > _MAX_DEPTH:
             raise ElaborationError(f"instance hierarchy deeper than {_MAX_DEPTH}")
@@ -380,7 +383,12 @@ class _ModuleScope:
             if port.direction == "input":
                 if self.bound_inputs is not None:
                     if port.name in self.bound_inputs:
-                        self._signals[port.name] = self.bound_inputs[port.name]
+                        value = self.bound_inputs[port.name]
+                        if isinstance(value, int):
+                            # A tied-off port reads as a constant of the
+                            # port's width, folded wherever it is used.
+                            value &= (1 << self._widths[port.name]) - 1
+                        self._signals[port.name] = value
                     # unconnected inputs are allowed; they become dead cones
                 else:
                     self._signals[port.name] = self.circuit.input(
@@ -437,7 +445,7 @@ class _ModuleScope:
             connections = [(port_names[i], expr)
                            for i, (_, expr) in enumerate(connections)]
 
-        inputs: dict[str, Signal] = {}
+        inputs: dict[str, Signal | int] = {}
         output_bindings: list[tuple[str, str]] = []
         directions = {p.name: p.direction for p in child_def.ports}
         for port, expr in connections:
@@ -446,8 +454,7 @@ class _ModuleScope:
                     f"instance {inst.instance_name}: no port {port!r} on "
                     f"{inst.module_name}")
             if directions[port] == "input":
-                value = self._expr(expr)
-                inputs[port] = self._as_signal(value, None)
+                inputs[port] = self._expr(expr)
             else:
                 if not isinstance(expr, ast.Identifier):
                     raise ElaborationError(
@@ -461,7 +468,7 @@ class _ModuleScope:
 
     def _instantiate(self, child_def: ast.ModuleDef,
                      child_params: dict[str, int],
-                     inputs: dict[str, Signal]) -> dict[str, Signal]:
+                     inputs: dict[str, Signal | int]) -> dict[str, Signal]:
         """Elaborate one child instance, stamping a memoized template when
         an identical (module, params, input shape) was elaborated before."""
         memo = self.memo
@@ -693,7 +700,7 @@ class _ModuleScope:
             return value if width is None else value.resized(width)
         raise ElaborationError(
             f"expected a signal but got constant {value!r} "
-            f"(constant-driven ports/registers are not supported)")
+            f"(constant-driven output ports/registers are not supported)")
 
     def _const(self, expr: ast.Expr) -> int:
         value = self._expr_const(expr)

@@ -10,8 +10,8 @@ from repro.boom import (
     BoomDSE,
     CoreMarkModel,
     full_design_space,
-    pareto_front,
 )
+from repro.dse import pareto_points
 from repro.synth import Synthesizer
 
 
@@ -131,7 +131,7 @@ class TestDSE:
         cfg = BoomConfig()
         pts = [DSEPoint(cfg, 1, area, 1.0, score) for area, score in
                [(10, 0.5), (20, 0.9), (15, 0.4), (30, 1.0), (25, 0.95)]]
-        front = pareto_front(pts, lambda p: p.area_um2)
+        front = pareto_points(pts, cost="area_um2")
         areas = [p.area_um2 for p in front]
         assert areas == sorted(areas)
         for a, b in zip(front, front[1:]):

@@ -18,6 +18,7 @@ from repro.datagen import (
 from repro.designs import standard_designs
 from repro.graphir import Vocabulary
 from repro.synth import Synthesizer
+from tests.oracles.synth import ReferenceSynthesizer
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +74,9 @@ class TestPathDataset:
         records = sample_path_dataset(small_dataset[:1],
                                       sampler=PathSampler(k=5, max_paths=5),
                                       synthesizer=synth)
+        oracle = ReferenceSynthesizer(effort="low")
         for r in records:
-            direct = synth.synthesize_path(list(r.tokens))
+            direct = oracle.synthesize_path(list(r.tokens))
             assert r.timing_ps == pytest.approx(direct.timing_ps)
             assert r.area_um2 == pytest.approx(direct.area_um2)
 
@@ -179,12 +181,9 @@ class TestSeqGAN:
 
 class TestAugmentation:
     def _records(self):
-        synth = Synthesizer(effort="low")
-        out = []
-        for tokens in REAL_PATHS:
-            lab = synth.synthesize_path(list(tokens))
-            out.append(PathRecord(tokens, lab.timing_ps, lab.area_um2, lab.power_mw))
-        return out
+        labels = Synthesizer(effort="low").synthesize_path_batch(REAL_PATHS)
+        return [PathRecord(tokens, lab.timing_ps, lab.area_um2, lab.power_mw)
+                for tokens, lab in zip(REAL_PATHS, labels)]
 
     def test_mix_includes_sampled_and_generated(self):
         sampled = self._records()

@@ -14,7 +14,6 @@ from repro.synth import (
     buffer_insertion,
     common_subexpression_elimination,
     mac_fusion,
-    path_to_graph,
     scale_result,
     scale_value,
     static_timing_analysis,
@@ -263,31 +262,24 @@ class TestSynthesizer:
 
 
 class TestPathSynthesis:
-    def test_path_to_graph_roundtrip(self):
-        g = path_to_graph(["io8", "mul16", "add16", "dff16"])
-        assert g.num_nodes == 4
-        assert g.num_edges == 3
-
     def test_path_empty_raises(self):
         with pytest.raises(ValueError):
-            path_to_graph([])
+            Synthesizer().synthesize_path_batch([["io8"], []])
 
     def test_path_unknown_token_raises(self):
         with pytest.raises(KeyError):
-            path_to_graph(["io8", "warp9"])
+            Synthesizer().synthesize_path_batch([["io8", "warp9"]])
 
     def test_paper_order_example(self):
         """Table 5 labels must be order-sensitive: [mul,add] < [add,mul]."""
-        synth = Synthesizer()
-        mul_first = synth.synthesize_path(["io8", "mul16", "add16", "dff16"])
-        add_first = synth.synthesize_path(["io8", "add16", "mul16", "dff16"])
+        mul_first, add_first = Synthesizer().synthesize_path_batch(
+            [["io8", "mul16", "add16", "dff16"], ["io8", "add16", "mul16", "dff16"]])
         assert mul_first.area_um2 < add_first.area_um2
         assert mul_first.timing_ps < add_first.timing_ps
 
     def test_longer_path_slower(self):
-        synth = Synthesizer()
-        short = synth.synthesize_path(["dff16", "add16", "dff16"])
-        long = synth.synthesize_path(["dff16", "add16", "add16", "add16", "dff16"])
+        short, long = Synthesizer().synthesize_path_batch(
+            [["dff16", "add16", "dff16"], ["dff16", "add16", "add16", "add16", "dff16"]])
         assert long.timing_ps > short.timing_ps
         assert long.area_um2 > short.area_um2
 
@@ -295,8 +287,7 @@ class TestPathSynthesis:
     @given(st.lists(st.sampled_from(["add16", "mul16", "xor16", "mux16", "sh16"]),
                     min_size=1, max_size=8))
     def test_property_path_labels_positive(self, middle):
-        synth = Synthesizer()
-        res = synth.synthesize_path(["dff16"] + middle + ["dff16"])
+        [res] = Synthesizer().synthesize_path_batch([["dff16"] + middle + ["dff16"]])
         assert res.timing_ps > 0 and res.area_um2 > 0 and res.power_mw > 0
 
 

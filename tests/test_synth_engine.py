@@ -1,9 +1,9 @@
-"""Parity tests for the array-compiled synthesis engine.
+"""Parity tests for the compiled synthesis kernels.
 
-Every test here asserts *exact* float equality between the vectorized
-kernels (``repro.synth.engine``) and the reference implementations they
-replace — the array engine's contract is bit-identical labels, not
-approximately-equal ones.
+Every test here asserts *exact* float equality between ``repro.synth``
+(the compiled STA, incremental gate sizing and batched path labeling)
+and the per-cell reference synthesizer in ``tests/oracles/synth.py`` —
+the contract is bit-identical labels, not approximately-equal ones.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from repro.graphir import CompiledGraph, GraphBuilder, Vocabulary
 from repro.runtime.parallel import _synthesize_one_entry
 from repro.store import ArtifactStore, open_backend
 from repro.synth import (FREEPDK15, MappedNetlist, SynthesisResult, Synthesizer,
-                         array_sta, static_timing_analysis,
-                         synthesis_cache_key)
-from repro.synth.engine import synthesize_path_batch
+                         analyze, retime_backward, static_timing_analysis,
+                         synthesis_cache_key, synthesize_path_batch)
+from tests.oracles.synth import (ReferenceSynthesizer, reference_sta,
+                                 reference_timing)
 
 COMB_TYPES = ("mux", "not", "and", "or", "xor", "sh", "add", "mul", "eq",
               "lgt", "div", "mod", "reduce_and", "reduce_or", "reduce_xor")
@@ -70,8 +71,8 @@ def test_array_sta_matches_reference_on_random_netlists():
     for trial in range(25):
         net = random_netlist(rng, num_cells=int(rng.integers(5, 80)),
                              seq_fraction=float(rng.uniform(0.1, 0.6)))
-        assert_reports_equal(static_timing_analysis(net, FREEPDK15),
-                             array_sta(net, FREEPDK15))
+        assert_reports_equal(reference_sta(net, FREEPDK15),
+                             static_timing_analysis(net, FREEPDK15))
 
 
 def test_array_sta_matches_after_gate_sizing_scales():
@@ -81,8 +82,8 @@ def test_array_sta_matches_after_gate_sizing_scales():
         net = random_netlist(rng)
         for cell in net.cells.values():
             cell.delay_scale = float(rng.uniform(0.7, 1.2))
-        assert_reports_equal(static_timing_analysis(net, FREEPDK15),
-                             array_sta(net, FREEPDK15))
+        assert_reports_equal(reference_sta(net, FREEPDK15),
+                             static_timing_analysis(net, FREEPDK15))
 
 
 def test_array_sta_all_register_netlist():
@@ -93,15 +94,15 @@ def test_array_sta_all_register_netlist():
         net.add_cell("dff", 16, is_sequential=True)
     for i in range(1, 6):
         net.add_edge(i - 1, i)
-    assert_reports_equal(static_timing_analysis(net, FREEPDK15),
-                         array_sta(net, FREEPDK15))
+    assert_reports_equal(reference_sta(net, FREEPDK15),
+                         static_timing_analysis(net, FREEPDK15))
 
 
 def test_array_sta_single_cell():
     net = MappedNetlist(name="one")
     net.add_cell("add", 8)
-    assert_reports_equal(static_timing_analysis(net, FREEPDK15),
-                         array_sta(net, FREEPDK15))
+    assert_reports_equal(reference_sta(net, FREEPDK15),
+                         static_timing_analysis(net, FREEPDK15))
 
 
 def test_array_sta_rejects_combinational_loop():
@@ -111,13 +112,13 @@ def test_array_sta_rejects_combinational_loop():
     net.add_edge(a, b)
     net.add_edge(b, a)
     with pytest.raises(ValueError, match="combinational loop"):
-        static_timing_analysis(net, FREEPDK15)
+        reference_sta(net, FREEPDK15)
     with pytest.raises(ValueError, match="combinational loop"):
-        array_sta(net, FREEPDK15)
+        static_timing_analysis(net, FREEPDK15)
 
 
 # ---------------------------------------------------------------------- #
-# Full-synthesizer parity (incremental sizing + fusion pre-scan)
+# Full-synthesizer parity (incremental sizing + lazy fusion STA)
 # ---------------------------------------------------------------------- #
 def random_graph(rng: np.random.Generator, num_nodes: int = 30) -> CompiledGraph:
     graph = GraphBuilder("random")
@@ -139,8 +140,8 @@ def test_synthesizer_engines_bit_identical_on_random_graphs(effort):
     rng = np.random.default_rng(23)
     for _ in range(6):
         graph = random_graph(rng, num_nodes=int(rng.integers(10, 60)))
-        ref = Synthesizer(effort=effort, engine="reference").synthesize(graph)
-        arr = Synthesizer(effort=effort, engine="array").synthesize(graph)
+        ref = ReferenceSynthesizer(effort=effort).synthesize(graph)
+        arr = Synthesizer(effort=effort).synthesize(graph)
         assert_results_equal(ref, arr)
 
 
@@ -149,47 +150,60 @@ def test_synthesizer_engines_bit_identical_on_registry_designs():
              if e.module.elaborate().num_nodes < 500][:8]
     for entry in small:
         graph = entry.module.elaborate()
-        ref = Synthesizer(effort="medium", engine="reference").synthesize(graph)
-        arr = Synthesizer(effort="medium", engine="array").synthesize(graph)
+        ref = ReferenceSynthesizer(effort="medium").synthesize(graph)
+        arr = Synthesizer(effort="medium").synthesize(graph)
         assert_results_equal(ref, arr)
 
 
-def test_invalid_engine_rejected():
-    with pytest.raises(ValueError, match="engine"):
-        Synthesizer(engine="gpu")
+def test_report_and_retiming_match_reference_sta_on_registry_designs():
+    # analyze (fusion guard + worst paths) and retime_backward (one STA
+    # per tried move) print and move the same under the oracle STA.
+    for entry in standard_designs():
+        graph = entry.module.elaborate()
+        got = analyze(graph, num_paths=5).format()
+        net = MappedNetlist.from_graphir(graph)
+        moves = retime_backward(net, FREEPDK15)
+        with reference_timing():
+            want = analyze(graph, num_paths=5).format()
+            ref_net = MappedNetlist.from_graphir(graph)
+            ref_moves = retime_backward(ref_net, FREEPDK15)
+        assert got == want, entry.name
+        assert moves == ref_moves, entry.name
+        assert_reports_equal(reference_sta(ref_net, FREEPDK15),
+                             static_timing_analysis(net, FREEPDK15))
 
 
 # ---------------------------------------------------------------------- #
 # Batched path labeling
 # ---------------------------------------------------------------------- #
 def test_path_batch_matches_per_path_for_every_single_token():
-    synth = Synthesizer()
+    oracle = ReferenceSynthesizer()
     tokens = list(Vocabulary.standard().tokens)
-    batch = synth.synthesize_path_batch([[t] for t in tokens])
+    batch = Synthesizer().synthesize_path_batch([[t] for t in tokens])
     for token, got in zip(tokens, batch):
-        want = synth.synthesize_path([token])
+        want = oracle.synthesize_path([token])
         assert got == want
 
 
 def test_path_batch_matches_per_path_on_random_chains():
-    synth = Synthesizer()
+    oracle = ReferenceSynthesizer()
     tokens = list(Vocabulary.standard().tokens)
     rng = np.random.default_rng(3)
     chains = [[tokens[i] for i in rng.integers(0, len(tokens),
                                                int(rng.integers(1, 13)))]
               for _ in range(120)]
-    batch = synth.synthesize_path_batch(chains)
+    batch = Synthesizer().synthesize_path_batch(chains)
     for chain, got in zip(chains, batch):
-        assert got == synth.synthesize_path(list(chain))
+        assert got == oracle.synthesize_path(list(chain))
 
 
 def test_path_batch_mac_fusion_order_sensitivity():
     # The paper's own example: [mul, add] fuses, [add, mul] does not.
-    synth = Synthesizer()
-    fwd, rev = synth.synthesize_path_batch(
+    oracle = ReferenceSynthesizer()
+    fwd, rev = Synthesizer().synthesize_path_batch(
         [["io16", "mul16", "add16", "io16"], ["io16", "add16", "mul16", "io16"]])
-    assert fwd == synth.synthesize_path(["io16", "mul16", "add16", "io16"])
-    assert rev == synth.synthesize_path(["io16", "add16", "mul16", "io16"])
+    assert fwd == oracle.synthesize_path(["io16", "mul16", "add16", "io16"])
+    assert rev == oracle.synthesize_path(["io16", "add16", "mul16", "io16"])
     assert fwd.area_um2 < rev.area_um2
 
 
@@ -201,13 +215,6 @@ def test_path_batch_validation():
     assert synthesize_path_batch([], FREEPDK15) == []
 
 
-def test_reference_engine_path_batch_is_per_path_loop():
-    synth = Synthesizer(engine="reference")
-    chains = [["io8", "add8"], ["mul16", "add16"]]
-    assert synth.synthesize_path_batch(chains) == [
-        synth.synthesize_path(list(c)) for c in chains]
-
-
 def test_sample_path_dataset_uses_batch_identically():
     from repro.core.sampler import PathSampler
 
@@ -216,7 +223,7 @@ def test_sample_path_dataset_uses_batch_identically():
     records = build_design_dataset(entries, Synthesizer(effort="low"))
     sampler = PathSampler(max_paths=10)
     ref = sample_path_dataset(records, sampler,
-                              Synthesizer(effort="low", engine="reference"))
+                              ReferenceSynthesizer(effort="low"))
     arr = sample_path_dataset(records, sampler, Synthesizer(effort="low"))
     assert arr == ref
 
@@ -264,8 +271,7 @@ def test_synthesis_cache_key_sensitivity():
 
 def test_build_design_dataset_workers_and_cache_bit_identical(tmp_path):
     entries = small_entries(5)
-    ref = build_design_dataset(entries, Synthesizer(effort="low",
-                                                    engine="reference"))
+    ref = build_design_dataset(entries, ReferenceSynthesizer(effort="low"))
     cold = build_design_dataset(entries, Synthesizer(effort="low"),
                                 num_workers=1, cache_dir=tmp_path / "c")
     warm = build_design_dataset(entries, Synthesizer(effort="low"),

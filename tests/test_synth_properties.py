@@ -108,9 +108,8 @@ def test_property_sta_monotone_under_edges(seed):
                 min_size=1, max_size=10))
 def test_property_path_cost_monotone_in_length(middle):
     """Extending a path never reduces its area or delay."""
-    synth = Synthesizer()
-    shorter = synth.synthesize_path(["dff16"] + middle + ["dff16"])
-    longer = synth.synthesize_path(["dff16"] + middle + ["xor16", "dff16"])
+    shorter, longer = Synthesizer().synthesize_path_batch(
+        [["dff16"] + middle + ["dff16"], ["dff16"] + middle + ["xor16", "dff16"]])
     assert longer.area_um2 >= shorter.area_um2
     assert longer.timing_ps >= shorter.timing_ps
 

@@ -8,8 +8,8 @@ serialized graph against the unmemoized walk.
 import pytest
 
 from repro.graphir import to_json
-from repro.verilog.elaborator import (ElaborationMemo, elaborate,
-                                      elaborate_source)
+from repro.verilog.elaborator import (ElaborationError, ElaborationMemo,
+                                      elaborate, elaborate_source)
 from repro.verilog.parser import parse_source
 
 REPEATED = """
@@ -125,3 +125,59 @@ class TestMemoParity:
         assert memo.hits == 1
         ref = elaborate_source(REGISTERED, "rtop", memo=False)
         assert to_json(g) == to_json(ref)
+
+
+TIED_OFF = """
+module pe (input clk, input [15:0] a, input [15:0] b, input [15:0] c,
+           output [15:0] y);
+  reg [15:0] acc;
+  always @(posedge clk) begin
+    acc <= a * b + c;
+  end
+  assign y = acc;
+endmodule
+module ptop (input clk, input [15:0] x, input [15:0] w,
+             output [15:0] o0, output [15:0] o1);
+  pe u0 (.clk(clk), .a(x), .b(w), .c(16'd0), .y(o0));
+  pe u1 (.clk(clk), .a(w), .b(x), .c(16'd0), .y(o1));
+endmodule
+"""
+
+# The same design with the tied-off literal written inside the child.
+TIED_INLINED = (TIED_OFF.replace("a * b + c;", "a * b + 16'd0;")
+                .replace(".c(16'd0), ", ""))
+
+
+class TestTiedOffPorts:
+    def test_constant_on_input_port_folds_like_a_literal(self):
+        memoized = elaborate_source(TIED_OFF, "ptop", memo=True)
+        fresh = elaborate_source(TIED_OFF, "ptop", memo=False)
+        inlined = elaborate_source(TIED_INLINED, "ptop")
+        assert memoized.fingerprint() == fresh.fingerprint()
+        assert memoized.token_counts() == inlined.token_counts()
+        assert memoized.num_edges == inlined.num_edges
+
+    def test_memo_keys_on_the_constant(self):
+        memo = ElaborationMemo()
+        elaborate_source(TIED_OFF, "ptop", memo=memo)
+        assert (memo.misses, memo.hits) == (1, 1)
+        src = TIED_OFF.replace(".c(16'd0), .y(o1)", ".c(16'd7), .y(o1)")
+        memo = ElaborationMemo()
+        g = elaborate_source(src, "ptop", memo=memo)
+        assert (memo.misses, memo.hits) == (2, 0)
+        assert to_json(g) == to_json(elaborate_source(src, "ptop", memo=False))
+
+    @pytest.mark.parametrize("use", [
+        "assign y = c;",                                   # output port
+        "reg [15:0] r; always @(posedge clk) r <= c; assign y = a;",  # register
+    ])
+    def test_constant_still_rejected_where_a_literal_is(self, use):
+        child = ("module k (input clk, input [15:0] a, input [15:0] c, "
+                 "output [15:0] y); " + use + " endmodule\n")
+        top = ("module ktop (input clk, input [15:0] x, output [15:0] o); "
+               "k u0 (.clk(clk), .a(x), .c(16'd3), .y(o)); endmodule\n")
+        with pytest.raises(ElaborationError, match="constant"):
+            elaborate_source(child.replace("<= c;", "<= 16'd3;")
+                             .replace("= c;", "= 16'd3;") + top, "ktop")
+        with pytest.raises(ElaborationError, match="constant"):
+            elaborate_source(child + top, "ktop")
