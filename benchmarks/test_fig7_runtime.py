@@ -11,8 +11,10 @@ def test_fig7_runtime_comparison(benchmark, design_records, sns_on_a):
 
     ordered = sorted(report.rows, key=lambda r: r.gate_count)
     picks = [ordered[0], ordered[len(ordered) // 2], ordered[-1]]
+    # Two significant figures: a 2.7x loss prints as 0.37x, not 0x.
     rows = [[r.design, f"{r.gate_count:.0f}", f"{r.synth_seconds * 1e3:.1f}",
-             f"{r.sns_seconds * 1e3:.1f}", f"{r.speedup:.0f}x"] for r in picks]
+             f"{r.sns_seconds * 1e3:.1f}", f"{float(f'{r.speedup:.2g}'):g}x"]
+            for r in picks]
     print("\n" + format_table(
         ["design", "gates", "synth ms", "SNS ms", "speedup"],
         rows, title="Figure 7: SNS vs reference synthesizer (highlights)"))

@@ -55,10 +55,24 @@ class MultiHeadSelfAttention(Module):
         # Fused (q @ k^T) * scale: one (B, H, S, S) buffer instead of two,
         # bit-identical to the two-op composition.
         scores = q.matmul_scaled(k.transpose(0, 1, 3, 2), 1.0 / np.sqrt(self.d_head))
+        mask = None
         if key_padding_mask is not None:
-            mask = np.asarray(key_padding_mask, dtype=bool)[:, None, None, :]
-            scores = scores.masked_fill(np.broadcast_to(mask, scores.shape), _NEG_INF)
-        weights = scores.softmax(axis=-1)
+            mask = np.broadcast_to(np.asarray(key_padding_mask, dtype=bool)[:, None, None, :],
+                                   scores.shape)
+        if scores.requires_grad:
+            if mask is not None:
+                scores = scores.masked_fill(mask, _NEG_INF)
+            weights = scores.softmax(axis=-1)
+        else:
+            # Nothing differentiates through the fresh score buffer: mask
+            # and normalize it in place (the same ops as masked_fill and
+            # softmax), so one (B, H, S, S) buffer is live instead of two.
+            weights, data = scores, scores.data
+            if mask is not None:
+                np.copyto(data, _NEG_INF, where=mask)
+            data -= data.max(axis=-1, keepdims=True)
+            np.exp(data, out=data)
+            data /= data.sum(axis=-1, keepdims=True)
         weights = self.dropout(weights)
         context = weights.matmul(v)  # (B, H, S, Dh)
         return context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)

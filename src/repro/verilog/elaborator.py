@@ -17,6 +17,9 @@ Semantic notes (cost-model oriented, like the paper's GraphIR):
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import ast
@@ -56,9 +59,39 @@ def elaborate_source(source: str, top: str | None = None,
         from .preprocessor import preprocess
 
         source = preprocess(source, include_paths=include_paths, defines=defines)
-    file = parse_source(source)
-    with obs.span("verilog.elaborate"):
-        return elaborate(file, top, memo=memo)
+    with _collector_paused():
+        file = parse_source(source)
+        with obs.span("verilog.elaborate"):
+            graph = elaborate(file, top, memo=memo)
+        del file  # freed by reference counting while the collector is off
+    return graph
+
+
+# The front end builds no reference cycles (tests/test_verilog_gc.py), so
+# reference counting frees everything it drops and the cyclic collector's
+# passes over its growing AST find nothing.  The pause is process-wide:
+# regions in concurrent threads nest, and the collector comes back on when
+# the last one exits, if it was on when the first one entered.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_resumes = False
+
+
+@contextmanager
+def _collector_paused():
+    global _pause_depth, _pause_resumes
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_resumes = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_resumes:
+                gc.enable()
 
 
 # ---------------------------------------------------------------------- #

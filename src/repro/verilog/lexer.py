@@ -2,12 +2,15 @@
 
 :func:`tokenize` returns a :class:`TokenStream` of parallel lists, not one
 object per token: an emitted design can hold hundreds of thousands of
-tokens, and every full garbage collection rescans live objects.
+tokens, and every full garbage collection rescans live objects.  Line
+numbers are only needed for error messages, so the stream counts them on
+first use.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 __all__ = ["Token", "TokenStream", "VerilogSyntaxError", "tokenize", "KEYWORDS"]
@@ -20,15 +23,24 @@ KEYWORDS = frozenset({
     "case", "endcase", "default",
 })
 
-# One match per comment or token: the whitespace before it, then a comment,
-# number, identifier, operator or stray character.  Only trailing
-# whitespace is left unmatched.
-_MASTER = re.compile(
-    r"(\s*)(?:(//[^\n]*|/\*.*?\*/)"
-    r"|(\d+'[bodhBODH][0-9a-fA-F_xXzZ?]+|\d+)"
-    r"|([A-Za-z_][A-Za-z0-9_$]*)"
-    r"|(<=|>=|==|!=|<<|>>|&&|\|\||[-+*/%&|^~!<>=?:#.@(){}\[\],;])"
-    r"|(\S))", re.DOTALL)
+# One match per comment or token: a comment, number, identifier, operator
+# or stray character.  Nothing matches at whitespace, so the scan skips it.
+_TOKEN = re.compile(
+    r"//[^\n]*|/\*.*?\*/"
+    r"|\d+'[bodhBODH][0-9a-fA-F_xXzZ?]+|\d+"
+    r"|[A-Za-z_][A-Za-z0-9_$]*"
+    r"|<=|>=|==|!=|<<|>>|&&|\|\||[-+*/%&|^~!<>=?:#.@(){}\[\],;]"
+    r"|\S", re.DOTALL)
+
+# A token's kind from its whole text (keywords, operators), else from its
+# first character.  A longer match starting with '/' is a comment.
+_KIND_OF_TEXT = {
+    **dict.fromkeys(KEYWORDS, "KEYWORD"),
+    **dict.fromkeys(("<=", ">=", "==", "!=", "<<", ">>", "&&", "||",
+                     *"-+*/%&|^~!<>=?:#.@(){}[],;"), "OP"),
+}
+_KIND_OF_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "IDENT"),
+                  **dict.fromkeys(string.digits, "NUMBER"), "/": "COMMENT"}
 
 
 class VerilogSyntaxError(SyntaxError):
@@ -46,12 +58,31 @@ class Token:
 
 
 class TokenStream:
-    """Parallel token lists ending in EOF; indexing yields :class:`Token`."""
+    """Parallel token lists ending in EOF; indexing yields :class:`Token`.
 
-    __slots__ = ("kinds", "texts", "lines")
+    ``lines`` is counted from the source on first use.
+    """
 
-    def __init__(self, kinds: list[str], texts: list[str], lines: list[int]):
-        self.kinds, self.texts, self.lines = kinds, texts, lines
+    __slots__ = ("kinds", "texts", "_source", "_lines")
+
+    def __init__(self, kinds: list[str], texts: list[str], source: str):
+        self.kinds, self.texts, self._source = kinds, texts, source
+        self._lines = None
+
+    @property
+    def lines(self) -> list[int]:
+        if self._lines is None:
+            source = self._source
+            lines, line, last = [], 1, 0
+            for match in _TOKEN.finditer(source):
+                start = match.start()
+                line += source.count("\n", last, start)
+                last = start
+                if source[start] != "/" or match.end() - start == 1:
+                    lines.append(line)
+            lines.append(source.count("\n") + 1)
+            self._lines = lines
+        return self._lines
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -68,30 +99,29 @@ class TokenStream:
 
 def tokenize(source: str) -> TokenStream:
     """Tokenize Verilog source; comments and whitespace are dropped."""
-    kinds, texts, lines = [], [], []
-    line = 1
-    for space, comment, number, ident, op, bad in _MASTER.findall(source):
-        line += space.count("\n")
-        if comment:
-            line += comment.count("\n")
-            continue
-        if not (op or ident or number):
-            raise VerilogSyntaxError(f"unexpected character {bad!r} at line {line}")
-        kinds.append("OP" if op else "NUMBER" if number
-                     else "KEYWORD" if ident in KEYWORDS else "IDENT")
-        texts.append(op or ident or number)
-        lines.append(line)
+    texts = _TOKEN.findall(source)
+    of_text, of_first = _KIND_OF_TEXT.get, _KIND_OF_FIRST.get
+    # \d also matches non-ASCII decimal digits: U+0663 is a NUMBER.
+    kinds = [of_text(t) or of_first(t[0])
+             or ("NUMBER" if t[0].isdecimal() else "BAD") for t in texts]
+    if "COMMENT" in kinds:
+        texts = [t for t, k in zip(texts, kinds) if k != "COMMENT"]
+        kinds = [k for k in kinds if k != "COMMENT"]
+    tokens = TokenStream(kinds, texts, source)
+    if "BAD" in kinds:
+        i = kinds.index("BAD")
+        raise VerilogSyntaxError(
+            f"unexpected character {texts[i]!r} at line {tokens.lines[i]}")
     kinds.append("EOF")
     texts.append("")
-    lines.append(source.count("\n") + 1)
-    return TokenStream(kinds, texts, lines)
+    return tokens
 
 
-def parse_number(text: str, line: int | None = None) -> tuple[int, int | None]:
+def parse_number(text: str) -> tuple[int, int | None]:
     """Parse a Verilog literal; returns (value, width or None).
 
     Digits outside the literal's base (``8'b102``) raise
-    :class:`VerilogSyntaxError`, naming ``line`` when given.
+    :class:`VerilogSyntaxError`.
     """
     if "'" not in text:
         return int(text), None
@@ -103,6 +133,4 @@ def parse_number(text: str, line: int | None = None) -> tuple[int, int | None]:
     try:
         return int(digits, base), int(width_str)
     except ValueError:
-        where = "" if line is None else f" at line {line}"
-        raise VerilogSyntaxError(
-            f"invalid base-{base} literal {text!r}{where}") from None
+        raise VerilogSyntaxError(f"invalid base-{base} literal {text!r}") from None

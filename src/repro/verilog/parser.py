@@ -32,7 +32,8 @@ _EXPR_END = frozenset({"]", ":", ";", ")", ",", "}"})
 
 class Parser:
     def __init__(self, tokens: TokenStream):
-        self._kinds, self._texts, self._lines = tokens.kinds, tokens.texts, tokens.lines
+        self._tokens = tokens  # its lines are counted only for error messages
+        self._kinds, self._texts = tokens.kinds, tokens.texts
         self._pos = 0
 
     # ------------------------------------------------------------------ #
@@ -53,11 +54,11 @@ class Parser:
         found = self._texts[pos]
         if text is not None and found != text:
             raise VerilogSyntaxError(
-                f"expected {text!r} but found {found!r} at line {self._lines[pos]}")
+                f"expected {text!r} but found {found!r} at line {self._tokens.lines[pos]}")
         if kind is not None and self._kinds[pos] != kind:
             raise VerilogSyntaxError(
                 f"expected {kind} but found {self._kinds[pos]} ({found!r}) "
-                f"at line {self._lines[pos]}")
+                f"at line {self._tokens.lines[pos]}")
         self._pos = pos + 1
         return found
 
@@ -66,6 +67,12 @@ class Parser:
             self._pos += 1
             return True
         return False
+
+    def _number(self, pos: int) -> ast.Number:
+        try:
+            return ast.Number(*parse_number(self._texts[pos]))
+        except VerilogSyntaxError as exc:
+            raise VerilogSyntaxError(f"{exc} at line {self._tokens.lines[pos]}") from None
 
     # ------------------------------------------------------------------ #
     # Top level
@@ -159,7 +166,7 @@ class Parser:
             self._parse_instance(module)
         else:
             raise VerilogSyntaxError(
-                f"unsupported module item {text!r} at line {self._lines[self._pos]}")
+                f"unsupported module item {text!r} at line {self._tokens.lines[self._pos]}")
 
     def _parse_range(self):
         msb = lsb = None
@@ -375,9 +382,8 @@ class Parser:
             # A lone name or number, as every select bound is: the node the
             # precedence climb would return, without the climb.
             self._pos = pos + 1
-            text = self._texts[pos]
-            return (ast.Identifier(text) if kind == "IDENT"
-                    else ast.Number(*parse_number(text, self._lines[pos])))
+            return (ast.Identifier(self._texts[pos]) if kind == "IDENT"
+                    else self._number(pos))
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
@@ -416,8 +422,7 @@ class Parser:
         kind = self._kinds[pos]
         if kind == "NUMBER":
             self._pos = pos + 1
-            value, width = parse_number(self._texts[pos], self._lines[pos])
-            return self._parse_selects(ast.Number(value, width))
+            return self._parse_selects(self._number(pos))
         if kind == "IDENT":
             self._pos = pos + 1
             return self._parse_selects(ast.Identifier(self._texts[pos]))
@@ -432,7 +437,7 @@ class Parser:
             self._expect("}")
             return ast.Concat(tuple(parts))
         raise VerilogSyntaxError(
-            f"unexpected token {self._texts[pos]!r} at line {self._lines[pos]}")
+            f"unexpected token {self._texts[pos]!r} at line {self._tokens.lines[pos]}")
 
     def _parse_selects(self, base: ast.Expr) -> ast.Expr:
         while self._texts[self._pos] == "[":

@@ -1,5 +1,7 @@
 """Tests for layers, attention, RNNs, optimizers, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,41 @@ class TestAttention:
         out2 = attn(Tensor(x2), key_padding_mask=mask).data
         # positions 0..2 attend only to unmasked keys, so they are unchanged
         np.testing.assert_allclose(out1[0, :3], out2[0, :3], atol=1e-9)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_no_grad_context_matches_grad_mode(self, masked):
+        """Inference masks and normalizes the scores in place; the bits
+        must equal the graph-building path's."""
+        rng = np.random.default_rng(0)
+        attn = nn.MultiHeadSelfAttention(d_model=16, num_heads=2, rng=rng)
+        attn.eval()
+        x = Tensor(rng.normal(size=(3, 7, 16)))
+        mask = rng.random((3, 7)) < 0.4 if masked else None
+        graph = attn.context(x, mask)
+        assert graph.requires_grad
+        with nn.no_grad():
+            inference = attn.context(x, mask)
+        assert np.array_equal(graph.data, inference.data)
+
+    def test_no_grad_context_keeps_one_score_buffer(self):
+        """The (batch, heads, seq, seq) scores dominate; masking and the
+        softmax must not allocate a second buffer of that size."""
+        rng = np.random.default_rng(0)
+        attn = nn.MultiHeadSelfAttention(d_model=8, num_heads=2, rng=rng)
+        attn.eval()
+        batch, seq = 4, 512
+        x = Tensor(rng.normal(size=(batch, seq, 8)))
+        mask = np.zeros((batch, seq), dtype=bool)
+        mask[:, 300:] = True
+        score_bytes = batch * 2 * seq * seq * 8
+        with nn.no_grad():
+            tracemalloc.start()
+            try:
+                attn.context(x, mask)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * score_bytes
 
     def test_encoder_stack(self):
         enc = nn.TransformerEncoder(num_layers=2, d_model=16, num_heads=2)
