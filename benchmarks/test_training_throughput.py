@@ -32,7 +32,7 @@ from repro import obs
 from repro.core import Circuitformer, CircuitformerConfig, TrainingConfig
 from repro.datagen.dataset import PathRecord
 from repro.graphir import Vocabulary
-from repro.runtime import EncodingCache, TrainingEngine
+from repro.runtime import TrainingEngine
 
 from conftest import run_once
 
@@ -88,7 +88,7 @@ def _time_baseline(records):
 
 
 def _time_engine(records):
-    engine = TrainingEngine(bucketed=True, encoding_cache=EncodingCache())
+    engine = TrainingEngine(bucketed=True)
     model = Circuitformer(BENCH_CF, seed=0)
     start = time.perf_counter()
     with obs.record() as recorder:

@@ -9,13 +9,11 @@ PowerEff (best performance/power), and AreaEff (best performance/area).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from ..core import SNS
 from ..dse.engine import pareto_points
-from ..synth import Synthesizer
+from ..runtime import BatchPredictor
 from .config import BoomConfig
 from .generator import BoomCore
 from .perf_model import CoreMarkModel
@@ -50,8 +48,8 @@ class DSEResult:
     power_eff: DSEPoint
     area_eff: DSEPoint
     # Populated by the budgeted path (BoomDSE.explore): the underlying
-    # repro.dse.engine.EngineResult with the k-objective front, profile,
-    # and finalists.
+    # repro.dse.engine.EngineResult with the k-objective front,
+    # candidates, and finalists.
     engine_result: object = None
 
     @property
@@ -66,25 +64,18 @@ class DSEResult:
 
 
 class BoomDSE:
-    """Evaluate BOOM configurations with either SNS or the synthesizer."""
+    """Evaluate BOOM configurations with SNS (Figure 8).
 
-    def __init__(self, predictor: SNS | None = None,
-                 synthesizer: Synthesizer | None = None,
-                 perf_model: CoreMarkModel | None = None):
-        if (predictor is None) == (synthesizer is None):
-            raise ValueError("provide exactly one of predictor / synthesizer")
+    Ground truth lives elsewhere: :func:`repro.experiments.run_boom_study`
+    synthesizes its spot checks directly, and
+    ``ExplorationEngine(factory, Synthesizer(...), boom_grid())`` is the
+    synthesizer-backed explorer.
+    """
+
+    def __init__(self, predictor: SNS, perf_model: CoreMarkModel | None = None):
         self.predictor = predictor
-        self.synthesizer = synthesizer
         self.perf_model = perf_model or CoreMarkModel()
-        if predictor is not None:
-            from ..runtime import BatchPredictor, FrontendCache
-
-            self.frontend_cache = FrontendCache()
-            self._batch_engine = BatchPredictor(
-                predictor, frontend_cache=self.frontend_cache)
-        else:
-            self.frontend_cache = None
-            self._batch_engine = None
+        self._batch_engine = BatchPredictor(predictor)
 
     # ------------------------------------------------------------------ #
     def _make_point(self, config: BoomConfig, timing: float, area: float,
@@ -94,52 +85,24 @@ class BoomDSE:
         score = self.perf_model.score(config, freq)
         return DSEPoint(config, timing, area, power, score)
 
-    def evaluate(self, config: BoomConfig) -> DSEPoint:
-        if self._batch_engine is not None:
-            # Module in, compiled front end inside: flat elaboration and
-            # sampled paths cached per configuration by the FrontendCache.
-            pred = self._batch_engine.predict_batch([BoomCore(config)])[0]
-            timing, area, power = pred.timing_ps, pred.area_um2, pred.power_mw
-        else:
-            result = self.synthesizer.synthesize(BoomCore(config).elaborate())
-            timing, area, power = result.timing_ps, result.area_um2, result.power_mw
-        return self._make_point(config, timing, area, power)
-
     def run(self, configs: list[BoomConfig], verbose: bool = False) -> DSEResult:
         """Evaluate all configs; scores are normalized so the best is 1.0.
 
-        SNS-backed runs evaluate the whole space through the batched
-        runtime: paths shared between sibling configurations (BOOM
-        variants reuse most of their datapath) are predicted once, and
-        the content-addressed cache makes re-running an overlapping
-        sweep near-free.
+        The whole space goes through the batched runtime: paths shared
+        between sibling configurations (BOOM variants reuse most of their
+        datapath) are predicted once, and the instance's prediction store
+        makes re-running an overlapping sweep near-free.
         """
         if not configs:
             raise ValueError("no configurations to explore")
         start = time.perf_counter()
-        if self._batch_engine is not None:
-            cores = [BoomCore(config) for config in configs]
-            if verbose:
-                print(f"[boom-dse] batch-predicting {len(cores)} configs")
-            preds = self._batch_engine.predict_batch(cores)
-            points = [self._make_point(c, p.timing_ps, p.area_um2, p.power_mw)
-                      for c, p in zip(configs, preds)]
-        else:
-            points = []
-            for i, config in enumerate(configs):
-                points.append(self.evaluate(config))
-                if verbose and (i + 1) % 100 == 0:
-                    print(f"[boom-dse] {i + 1}/{len(configs)} evaluated")
-        top = max(p.score for p in points)
-        normalized = [DSEPoint(p.config, p.timing_ps, p.area_um2, p.power_mw,
-                               p.score / top) for p in points]
-        return DSEResult(
-            points=tuple(normalized),
-            runtime_s=time.perf_counter() - start,
-            high_perf=max(normalized, key=lambda p: p.score),
-            power_eff=max(normalized, key=lambda p: p.perf_per_watt),
-            area_eff=max(normalized, key=lambda p: p.perf_per_area),
-        )
+        cores = [BoomCore(config) for config in configs]
+        if verbose:
+            print(f"[boom-dse] batch-predicting {len(cores)} configs")
+        preds = self._batch_engine.predict_batch(cores)
+        points = [self._make_point(c, p.timing_ps, p.area_um2, p.power_mw)
+                  for c, p in zip(configs, preds)]
+        return _result(points, time.perf_counter() - start)
 
     # ------------------------------------------------------------------ #
     def explore(self, grid=None, budget: int = 4096,
@@ -147,7 +110,7 @@ class BoomDSE:
         """Budgeted streaming exploration of a BOOM parameter grid.
 
         Instead of materializing and evaluating every configuration
-        (:meth:`run` — the parity oracle), this drives the
+        (:meth:`run`, the exhaustive sweep), this drives the
         :class:`repro.dse.engine.ExplorationEngine`: seeded lazy
         sampling plus Pareto-guided proposals, surrogate screening, and
         chunked batched prediction, so spaces like the ~1.12M-point
@@ -161,8 +124,6 @@ class BoomDSE:
         from ..dse.engine import EngineConfig, ExplorationEngine
         from .config import boom_grid
 
-        if self.predictor is None:
-            raise ValueError("budgeted exploration needs an SNS predictor")
         grid = grid if grid is not None else boom_grid()
 
         def factory(**params):
@@ -174,20 +135,23 @@ class BoomDSE:
 
         engine = ExplorationEngine(
             factory, self.predictor, grid, score=score,
-            config=EngineConfig(budget=budget, **engine_config),
-            frontend_cache=self.frontend_cache)
+            config=EngineConfig(budget=budget, **engine_config))
         eresult = engine.explore(verbose=verbose)
-
         points = [DSEPoint(BoomConfig(**p.params), p.timing_ps, p.area_um2,
                            p.power_mw, p.score) for p in eresult.points]
-        top = max(p.score for p in points)
-        normalized = [DSEPoint(p.config, p.timing_ps, p.area_um2, p.power_mw,
-                               p.score / top) for p in points]
-        return DSEResult(
-            points=tuple(normalized),
-            runtime_s=eresult.runtime_s,
-            high_perf=max(normalized, key=lambda p: p.score),
-            power_eff=max(normalized, key=lambda p: p.perf_per_watt),
-            area_eff=max(normalized, key=lambda p: p.perf_per_area),
-            engine_result=eresult,
-        )
+        return _result(points, eresult.runtime_s, eresult)
+
+
+def _result(points: list[DSEPoint], runtime_s: float,
+            engine_result=None) -> DSEResult:
+    """Normalize scores to the best, then pick HighPerf, PowerEff, AreaEff."""
+    top = max(p.score for p in points)
+    normalized = [replace(p, score=p.score / top) for p in points]
+    return DSEResult(
+        points=tuple(normalized),
+        runtime_s=runtime_s,
+        high_perf=max(normalized, key=lambda p: p.score),
+        power_eff=max(normalized, key=lambda p: p.perf_per_watt),
+        area_eff=max(normalized, key=lambda p: p.perf_per_area),
+        engine_result=engine_result,
+    )

@@ -227,7 +227,7 @@ def _cmd_predict(args) -> int:
     store = ArtifactStore(
         backend=open_backend(args.cache_dir) if args.cache_dir else None)
     with closing(store):
-        engine = BatchPredictor(sns, store=store, caching=not args.no_cache)
+        engine = BatchPredictor(sns, store=store)
         preds = engine.predict_batch(graphs)
     for i, pred in enumerate(preds):
         if i:
@@ -529,8 +529,6 @@ def main(argv: list[str] | None = None) -> int:
     p_pred.add_argument("--cache-dir", default=None,
                         help="artifact store for predictions "
                              "(a directory or a .sqlite file)")
-    p_pred.add_argument("--no-cache", action="store_true",
-                        help="disable the prediction cache")
     p_pred.set_defaults(fn=_cmd_predict)
 
     p_paths = sub.add_parser("paths", help="sample complete circuit paths")

@@ -215,8 +215,8 @@ class Circuitformer(nn.Module):
         and the tail always runs on a fixed row count.
 
         ``encoding_cache`` optionally supplies a
-        :class:`repro.runtime.trainer.EncodingCache` so repeated bucket
-        chunks (across calls, or shared with the training engine) skip
+        :class:`repro.runtime.trainer.EncodingCache` so bucket chunks
+        repeated across calls (a served model's requests) skip
         re-encoding; the encoded arrays are identical either way.
         """
         if not unique_seqs:
@@ -258,8 +258,7 @@ class Circuitformer(nn.Module):
         return np.maximum(self.scaler.inverse(scaled), 0.0)
 
     # ------------------------------------------------------------------ #
-    def predict_paths(self, token_seqs: list[tuple[str, ...]],
-                      encoding_cache=None) -> np.ndarray:
+    def predict_paths(self, token_seqs: list[tuple[str, ...]]) -> np.ndarray:
         """Inference: physical [timing_ps, area_um2, power_mw] per path.
 
         Sampled designs repeat token sequences heavily (a systolic array
@@ -274,5 +273,4 @@ class Circuitformer(nn.Module):
         index = np.empty(len(token_seqs), dtype=np.int64)
         for i, seq in enumerate(token_seqs):
             index[i] = unique.setdefault(tuple(seq), len(unique))
-        return self.predict_unique(list(unique),
-                                   encoding_cache=encoding_cache)[index]
+        return self.predict_unique(list(unique))[index]

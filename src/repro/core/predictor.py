@@ -131,7 +131,7 @@ class SNS:
         :func:`repro.obs.record` the engine records its training spans
         and counters there.
         """
-        from ..runtime.trainer import EncodingCache, TrainingEngine
+        from ..runtime.trainer import TrainingEngine
 
         synthesizer = synthesizer or Synthesizer(effort="medium")
         if path_records is None:
@@ -143,8 +143,7 @@ class SNS:
                     synthesizer=synthesizer, vocab=self.vocab)
         if verbose:
             print(f"[sns] circuit path dataset: {len(path_records)} paths")
-        engine = TrainingEngine.from_config(self.training_config,
-                                            encoding_cache=EncodingCache())
+        engine = TrainingEngine.from_config(self.training_config)
         self.circuitformer_history = train_circuitformer(
             self.circuitformer, path_records, self.training_config,
             verbose=verbose, engine=engine)
@@ -227,25 +226,3 @@ class SNS:
             critical_path=critical,
             spread=spread,
         )
-
-    def predict_many(self, designs, activity_maps=None,
-                     frontend_cache=None) -> list[SNSPrediction]:
-        """Batch prediction over an iterable of designs.
-
-        Routes through :class:`repro.runtime.BatchPredictor`: sampled
-        paths are deduplicated across the whole batch and predicted in
-        length-bucketed pooled forward passes, with results bit-identical
-        to calling :meth:`predict` per design.  ``activity_maps`` may be
-        a dict keyed by elaborated design name (``graph.name`` — resolved
-        consistently for both :class:`CompiledGraph` and :class:`Module`
-        inputs, warning on unmatched keys) or a sequence aligned with
-        ``designs``.  Predictions are not cached; pass a
-        :class:`repro.runtime.FrontendCache` as ``frontend_cache`` to
-        reuse elaborated graphs and sampled paths across calls (or use a
-        :class:`repro.runtime.BatchPredictor` directly to keep results).
-        """
-        from ..runtime import BatchPredictor
-
-        engine = BatchPredictor(self, caching=False,
-                                frontend_cache=frontend_cache)
-        return engine.predict_batch(designs, activity_maps=activity_maps)

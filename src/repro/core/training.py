@@ -79,8 +79,7 @@ def train_circuitformer(model: Circuitformer, records: list[PathRecord],
     """Fit the Circuitformer on the Circuit Path Dataset; returns curves.
 
     Delegates to a :class:`repro.runtime.trainer.TrainingEngine` built
-    from ``config`` (pass ``engine`` to share one — and its encoding
-    cache — across calls).
+    from ``config`` (pass ``engine`` to share one across calls).
     """
     from ..runtime.trainer import TrainingEngine
 

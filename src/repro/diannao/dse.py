@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from ..core import SNS
+from ..runtime import BatchPredictor
 from ..synth import Synthesizer
 from .config import DianNaoConfig
 from .generator import DianNao
@@ -87,29 +88,13 @@ class DianNaoDSE:
         self.synthesizer = synthesizer
         self.perf_model = perf_model or DianNaoPerfModel()
         self.use_power_gating = use_power_gating
-        if predictor is not None:
-            from ..runtime import BatchPredictor, FrontendCache
-
-            self.frontend_cache = FrontendCache()
-            self._batch_engine = BatchPredictor(
-                predictor, frontend_cache=self.frontend_cache)
-        else:
-            self.frontend_cache = None
-            self._batch_engine = None
+        self._batch_engine = (BatchPredictor(predictor)
+                              if predictor is not None else None)
 
     # ------------------------------------------------------------------ #
     def _prepare(self, config: DianNaoConfig):
-        """Elaborate one configuration and derive its activity map.
-
-        SNS-backed runs compile through the :class:`FrontendCache`
-        (cached per configuration); synthesizer runs elaborate directly.
-        """
-        if self._batch_engine is not None:
-            from ..runtime import compile_design
-
-            graph = compile_design(DianNao(config), self.frontend_cache)
-        else:
-            graph = DianNao(config).elaborate()
+        """Elaborate one configuration and derive its activity map."""
+        graph = DianNao(config).elaborate()
         report = self.perf_model.simulate(config)
         activity = self.perf_model.activity_coefficients(
             graph, report, gated=self.use_power_gating)
@@ -140,8 +125,7 @@ class DianNaoDSE:
     def run(self, configs: list[DianNaoConfig], verbose: bool = False) -> DianNaoDSEResult:
         """SNS-backed runs go through the batched runtime: the Table 13
         space shares most of its multiplier/adder-tree paths across ``tn``
-        values, so cross-config dedup plus the prediction cache does the
-        heavy lifting."""
+        values, so cross-config path dedup does the heavy lifting."""
         if not configs:
             raise ValueError("no configurations to explore")
         start = time.perf_counter()

@@ -299,7 +299,7 @@ class ExplorationEngine:
 
     def __init__(self, factory: Callable[..., Any], engine,
                  grid: ParameterGrid, score: Callable | None = None,
-                 config: EngineConfig | None = None, frontend_cache=None):
+                 config: EngineConfig | None = None):
         if not isinstance(engine, (SNS, Synthesizer)):
             raise TypeError(
                 f"engine must be SNS or Synthesizer, got {type(engine).__name__}")
@@ -311,7 +311,7 @@ class ExplorationEngine:
         if isinstance(engine, SNS):
             from ..runtime import BatchPredictor, DeltaElaborator
 
-            self.delta = DeltaElaborator(cache=frontend_cache)
+            self.delta = DeltaElaborator()
             self._batch_engine = BatchPredictor(
                 engine, frontend_cache=self.delta.cache)
         else:

@@ -14,7 +14,6 @@ from .accuracy import (
     build_dataset,
     fit_sns,
     evaluate_split,
-    two_fold_cross_validation,
     scarce_data_run,
     dsage_timing_comparison,
 )
@@ -39,7 +38,7 @@ from .reporting import format_table, format_series, ascii_scatter
 __all__ = [
     "ExperimentSettings", "FAST", "FULL",
     "PredictionRow", "AccuracyReport", "build_dataset", "fit_sns",
-    "evaluate_split", "two_fold_cross_validation", "scarce_data_run",
+    "evaluate_split", "scarce_data_run",
     "dsage_timing_comparison",
     "RuntimeRow", "RuntimeReport", "runtime_comparison", "PLATFORMS",
     "ThroughputReport", "throughput_comparison",

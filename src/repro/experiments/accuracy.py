@@ -26,7 +26,7 @@ from ..synth import Synthesizer
 from .settings import FAST, ExperimentSettings
 
 __all__ = ["PredictionRow", "AccuracyReport", "build_dataset", "fit_sns",
-           "evaluate_split", "two_fold_cross_validation", "scarce_data_run",
+           "evaluate_split", "scarce_data_run",
            "dsage_timing_comparison"]
 
 TARGETS = ("timing", "area", "power")
@@ -100,16 +100,6 @@ def evaluate_split(sns: SNS, test: list[DesignRecord]) -> list[PredictionRow]:
             actual=(record.timing_ps, record.area_um2, record.power_mw),
         ))
     return rows
-
-
-def two_fold_cross_validation(records: list[DesignRecord],
-                              settings: ExperimentSettings = FAST) -> AccuracyReport:
-    """The paper's 2-fold CV: A trained-on-B, B trained-on-A (Figure 6)."""
-    part_a, part_b = train_test_split_by_family(records, 0.5, seed=settings.seed)
-    rows = []
-    rows += evaluate_split(fit_sns(part_b, settings), part_a)
-    rows += evaluate_split(fit_sns(part_a, settings), part_b)
-    return AccuracyReport.from_rows(rows)
 
 
 def scarce_data_run(records: list[DesignRecord],

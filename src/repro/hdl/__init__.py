@@ -14,9 +14,7 @@ from .structures import (
     mux_tree,
     reduce_tree,
     max_tree,
-    register_bank,
     register_file,
-    memory_bank,
     fifo,
     counter,
     shift_register,
@@ -28,6 +26,6 @@ from .structures import (
 __all__ = [
     "Signal", "Circuit", "Reg", "Module",
     "adder_tree", "mux_tree", "reduce_tree", "max_tree",
-    "register_bank", "register_file", "memory_bank", "fifo",
+    "register_file", "fifo",
     "counter", "shift_register", "lfsr", "priority_arbiter", "pipeline",
 ]

@@ -15,9 +15,7 @@ __all__ = [
     "adder_tree",
     "mux_tree",
     "reduce_tree",
-    "register_bank",
     "register_file",
-    "memory_bank",
     "fifo",
     "counter",
     "shift_register",
@@ -96,11 +94,6 @@ def max_tree(c: Circuit, inputs: list[Signal]) -> Signal:
     return level[0]
 
 
-def register_bank(c: Circuit, data: Signal, depth: int, label: str = "bank") -> list[Signal]:
-    """``depth`` registers all loading from ``data`` (e.g. a wide latch array)."""
-    return [c.reg(data, label=f"{label}{i}") for i in range(depth)]
-
-
 def register_file(c: Circuit, write_data: Signal, write_addr: Signal,
                   read_addr: Signal, depth: int, label: str = "rf") -> Signal:
     """A register file: write-decode into ``depth`` registers, mux-tree read."""
@@ -111,17 +104,6 @@ def register_file(c: Circuit, write_data: Signal, write_addr: Signal,
         c.connect_next(row, c.mux(sel, write_data, row))
         rows.append(row)
     return mux_tree(c, read_addr, rows)
-
-
-def memory_bank(c: Circuit, data: Signal, addr: Signal, rows: int,
-                label: str = "mem") -> Signal:
-    """A small RAM modeled as a register file (SRAM macro stand-in).
-
-    To keep elaborated sizes tractable, large memories should be
-    instantiated with a reduced ``rows`` plus an explicit area model —
-    the synthesizer scales register banks linearly.
-    """
-    return register_file(c, data, addr, addr, rows, label=label)
 
 
 def fifo(c: Circuit, data: Signal, depth: int, label: str = "fifo") -> Signal:

@@ -8,7 +8,7 @@ self-contained substitute. It provides:
 - Layers: Linear, Embedding, LayerNorm, Dropout, multi-head attention,
   Transformer encoder stacks, GRUs.
 - Optimizers: Adam and SGD with momentum (Table 6 of the paper).
-- Losses and serialization helpers.
+- Losses.
 """
 
 from .tensor import Tensor, tensor, zeros, ones, no_grad, is_grad_enabled
@@ -25,7 +25,6 @@ from .functional import (
     cross_entropy,
     binary_cross_entropy,
 )
-from .serialize import save_module, load_module
 
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
@@ -37,5 +36,4 @@ __all__ = [
     "SGD", "Adam", "Optimizer", "clip_grad_norm",
     "concatenate", "stack", "mse_loss",
     "cross_entropy", "binary_cross_entropy",
-    "save_module", "load_module",
 ]

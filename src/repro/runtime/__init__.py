@@ -9,7 +9,8 @@ Layers a batched, cached serving engine over the core SNS predictor:
   activity).
 - :class:`TrainingEngine` — length-bucketed minibatching with fused
   in-place optimizer steps, graph-freeing backward, and epoch-persistent
-  encodings (:class:`PreparedPathDataset` / :class:`EncodingCache`).
+  encodings (:class:`PreparedPathDataset`); :class:`EncodingCache`
+  reuses inference encodings across a served model's requests.
 - :func:`parallel_build_design_dataset` — process-pool label
   generation for the Hardware Design Dataset.
 - :class:`FrontendCache` / :func:`compile_source` / :func:`compile_module`

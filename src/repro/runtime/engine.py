@@ -122,24 +122,18 @@ class BatchPredictor:
         A fitted predictor; the engine never mutates it.
     store:
         The :class:`~repro.store.ArtifactStore` whose ``prediction``
-        kind holds results (defaults to a fresh in-memory store).
-    caching:
-        Set False to skip fingerprinting and store lookups entirely;
-        ``store`` is then ``None``.
+        kind holds results (defaults to a fresh in-memory store, so a
+        throwaway predictor keeps nothing).
     encoding_cache:
         Optional :class:`repro.runtime.trainer.EncodingCache` handed to
-        ``predict_unique`` so repeated bucket chunks skip re-encoding —
-        share the training engine's cache to reuse epoch encodings at
-        serving time.
+        ``predict_unique`` so bucket chunks repeated across batches skip
+        re-encoding (a served model keeps one).
     """
 
     def __init__(self, sns: SNS, store: ArtifactStore | None = None,
-                 caching: bool = True, encoding_cache=None,
-                 frontend_cache=None):
+                 encoding_cache=None, frontend_cache=None):
         self.sns = sns
-        self.caching = caching
-        self.store = (store if store is not None else ArtifactStore()) \
-            if caching else None
+        self.store = store if store is not None else ArtifactStore()
         self.encoding_cache = encoding_cache
         # Optional repro.runtime.FrontendCache: Modules skip elaboration
         # on repeat configurations and sampled paths replay from the
@@ -169,30 +163,26 @@ class BatchPredictor:
         graphs = [compile_design(d, self.frontend_cache) for d in designs]
         activities = resolve_activity_maps(graphs, activity_maps)
 
+        model_fp = fingerprint_model(self.sns)
+        sampler_fp = fingerprint_sampler(self.sns.sampler)
+        keys = [cache_key(fingerprint_graph(graph), model_fp, sampler_fp,
+                          fingerprint_activity(activity))
+                for graph, activity in zip(graphs, activities)]
+        hits = self.store.get_many("prediction", keys)
         results: list[dict | None] = [None] * len(graphs)
-        pending: dict[str | int, list[int]] = {}
-        if self.caching:
-            model_fp = fingerprint_model(self.sns)
-            sampler_fp = fingerprint_sampler(self.sns.sampler)
-            keys = [cache_key(fingerprint_graph(graph), model_fp, sampler_fp,
-                              fingerprint_activity(activity))
-                    for graph, activity in zip(graphs, activities)]
-            hits = self.store.get_many("prediction", keys)
-            for i, key in enumerate(keys):
-                if key in hits:
-                    results[i] = hits[key]
-                else:
-                    # Identical (graph, activity) pairs inside one batch
-                    # collapse onto one computation.
-                    pending.setdefault(key, []).append(i)
-        else:
-            for i in range(len(graphs)):
-                pending[i] = [i]
+        pending: dict[str, list[int]] = {}
+        for i, key in enumerate(keys):
+            if key in hits:
+                results[i] = hits[key]
+            else:
+                # Identical (graph, activity) pairs inside one batch
+                # collapse onto one computation.
+                pending.setdefault(key, []).append(i)
 
         # ---- sample the misses, dedup sequences across the whole batch
-        group_paths: dict[str | int, list[SampledPath]] = {}
+        group_paths: dict[str, list[SampledPath]] = {}
         unique: dict[tuple[str, ...], int] = {}
-        group_index: dict[str | int, list[int]] = {}
+        group_index: dict[str, list[int]] = {}
         for key, members in pending.items():
             if self.frontend_cache is not None:
                 paths = self.frontend_cache.sample(graphs[members[0]],
@@ -219,7 +209,7 @@ class BatchPredictor:
                                       spread, critical)
             for i in members:
                 results[i] = entry
-        if self.caching and pending:
+        if pending:
             self.store.put_many("prediction", {
                 key: results[members[0]] for key, members in pending.items()})
 

@@ -23,10 +23,7 @@ in four ways:
    recycle through :data:`repro.nn.scratch_pool`.
 4. **Epoch-persistent encoding** — each bucket is encoded *once* into a
    :class:`PreparedPathDataset` and sliced per batch for every epoch,
-   instead of re-padding per step; an optional :class:`EncodingCache`
-   additionally shares encodings with inference
-   (:meth:`~repro.core.circuitformer.Circuitformer.predict_unique` and
-   the :class:`~repro.runtime.engine.BatchPredictor`).
+   instead of re-padding per step.
 
 Compatibility: ``TrainingEngine(bucketed=False)`` replicates the
 reference loops' padding, batch composition, and RNG consumption
@@ -57,11 +54,11 @@ class EncodingCache:
 
     Keyed on ``(vocabulary, padded length, token sequences)``; a hit
     returns the previously-built ``(ids, pad_mask)`` pair without
-    touching numpy.  Shared between the training engine (bucket
-    encodings reused every epoch) and inference (``predict_unique``
-    re-encoding the same bucket chunks across calls).  Entries hold a
-    strong reference to their vocabulary so ``id(vocab)`` keys cannot be
-    recycled while an entry lives.
+    touching numpy.  A served model's
+    :class:`~repro.runtime.engine.BatchPredictor` hands one to
+    ``predict_unique``, which re-encodes the same bucket chunks across
+    requests.  Entries hold a strong reference to their vocabulary so
+    ``id(vocab)`` keys cannot be recycled while an entry lives.
 
     Consumers must treat returned arrays as read-only (they only ever
     index them, which copies).
@@ -113,8 +110,7 @@ class PreparedPathDataset:
     reference loop's one-shot encoding.
     """
 
-    def __init__(self, token_seqs, vocab, max_len: int, bucketed: bool = True,
-                 encoding_cache: EncodingCache | None = None):
+    def __init__(self, token_seqs, vocab, max_len: int, bucketed: bool = True):
         self.max_len = int(max_len)
         self.bucketed = bool(bucketed)
         n = len(token_seqs)
@@ -129,11 +125,8 @@ class PreparedPathDataset:
         self._store: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for bucket in sorted(set(bucket_of.tolist())):
             idx = np.flatnonzero(bucket_of == bucket)
-            seqs = [token_seqs[i] for i in idx]
-            if encoding_cache is not None:
-                ids, mask = encoding_cache.encode(seqs, vocab, bucket)
-            else:
-                ids, mask = encode_batch(seqs, vocab, bucket)
+            ids, mask = encode_batch([token_seqs[i] for i in idx], vocab,
+                                     bucket)
             self.local_of[idx] = np.arange(len(idx))
             self._store[int(bucket)] = (ids, mask)
 
@@ -178,27 +171,22 @@ class TrainingEngine:
         ``False`` is the compatibility mode: padding, batch composition,
         and RNG consumption replicate the reference loops exactly, so
         the engine reproduces the seed loss curves bit-for-bit.
-    encoding_cache:
-        Optional :class:`EncodingCache` shared with inference.
 
     Under an open :func:`repro.obs.record`, each run is a
     ``trainer.circuitformer`` or ``trainer.aggregator`` span whose
     children are ``trainer.prepare``, ``trainer.forward``,
     ``trainer.backward``, ``trainer.optimizer`` and (Circuitformer only)
     ``trainer.validation``; counters add up steps, epochs, rows per
-    padded width (``trainer.bucket_rows.<width>``) and the encoding-cache
-    and scratch-pool statistics' growth during the run.
+    padded width (``trainer.bucket_rows.<width>``) and the scratch-pool
+    statistics' growth during the run.
     """
 
-    def __init__(self, bucketed: bool = True,
-                 encoding_cache: EncodingCache | None = None):
+    def __init__(self, bucketed: bool = True):
         self.bucketed = bool(bucketed)
-        self.encoding_cache = encoding_cache
 
     @classmethod
-    def from_config(cls, config: TrainingConfig,
-                    encoding_cache: EncodingCache | None = None) -> "TrainingEngine":
-        return cls(bucketed=config.bucketed, encoding_cache=encoding_cache)
+    def from_config(cls, config: TrainingConfig) -> "TrainingEngine":
+        return cls(bucketed=config.bucketed)
 
     # ------------------------------------------------------------------ #
     # Circuitformer
@@ -220,7 +208,7 @@ class TrainingEngine:
                               max(len(r.tokens) for r in records))
                 prepared = PreparedPathDataset(
                     [r.tokens for r in records], model.vocab, max_len,
-                    bucketed=self.bucketed, encoding_cache=self.encoding_cache)
+                    bucketed=self.bucketed)
             for bucket, rows in prepared.bucket_histogram().items():
                 obs.count(f"trainer.bucket_rows.{bucket}", rows)
 
@@ -319,8 +307,7 @@ class TrainingEngine:
         features = []
         for record in designs:
             paths = sampler.sample(record.graph)
-            preds = circuitformer.predict_paths(
-                [p.tokens for p in paths], encoding_cache=self.encoding_cache)
+            preds = circuitformer.predict_paths([p.tokens for p in paths])
             features.append(featurize_design(record.graph, preds, paths,
                                              circuitformer.vocab))
         return features
@@ -388,13 +375,9 @@ class TrainingEngine:
     # ------------------------------------------------------------------ #
     @contextmanager
     def _run_stats(self):
-        """Count the encoding-cache and scratch-pool statistics' growth
-        over one run (``trainer.encoding.*``, ``trainer.pool.*``)."""
-        sources = {"trainer.pool": nn.scratch_pool.stats}
-        if self.encoding_cache is not None:
-            sources["trainer.encoding"] = self.encoding_cache.stats
-        before = {prefix: stats() for prefix, stats in sources.items()}
+        """Count the scratch-pool statistics' growth over one run
+        (``trainer.pool.*``)."""
+        before = nn.scratch_pool.stats()
         yield
-        for prefix, stats in sources.items():
-            for key, value in stats().items():
-                obs.count(f"{prefix}.{key}", value - before[prefix][key])
+        for key, value in nn.scratch_pool.stats().items():
+            obs.count(f"trainer.pool.{key}", value - before[key])

@@ -90,18 +90,11 @@ class ModelRegistry:
     def _wrap(self, sns, name: str) -> ServedModel:
         return ServedModel(sns, name, store=self.store)
 
-    def register(self, sns, name: str, persist: bool = False) -> ServedModel:
-        """Adopt an already-fitted in-process model under ``name``.
-
-        ``persist=True`` also writes the weights (and the ``name``
-        alias) into the shared store so sibling workers and later
-        restarts can resolve it.
-        """
+    def register(self, sns, name: str) -> ServedModel:
+        """Adopt an already-fitted in-process model under ``name``."""
         served = self._wrap(sns, name)
         with self._lock:
             self._by_name[name] = served
-        if persist and self.models.persistent:
-            self.models.save(sns, name=name)
         return served
 
     def load(self, path: str | Path, name: str | None = None) -> ServedModel:

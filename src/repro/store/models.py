@@ -38,8 +38,7 @@ class ModelStore:
 
     # ------------------------------------------------------------------ #
     def save(self, sns, *, name: str | None = None,
-             training_fp: str | None = None,
-             meta: dict | None = None) -> str:
+             training_fp: str | None = None) -> str:
         """Persist a fitted model; returns its weights fingerprint.
 
         ``name`` registers a mutable alias; ``training_fp`` records the
@@ -56,7 +55,7 @@ class ModelStore:
             "format": _FORMAT,
             "version": 1,
             "data_b64": base64.b64encode(buffer.getvalue()).decode("ascii"),
-            "meta": {"name": name, **(meta or {})},
+            "meta": {"name": name},
         }
         self.store.put("model", keys.model_key(model_fp), payload)
         if name:

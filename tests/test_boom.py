@@ -137,14 +137,8 @@ class TestDSE:
         for a, b in zip(front, front[1:]):
             assert b.score > a.score
 
-    def test_requires_exactly_one_engine(self):
-        with pytest.raises(ValueError):
-            BoomDSE()
-        with pytest.raises(ValueError):
-            BoomDSE(predictor=object(), synthesizer=Synthesizer())
-
-    def test_synthesizer_backed_dse(self):
-        """A small sweep with the reference synthesizer as the engine."""
+    def test_sns_backed_dse(self, tiny_dse_sns):
+        """A small sweep: normalized scores, member picks, subset fronts."""
         configs = [
             BoomConfig(core_width=1, issue_slots=8, rob_size=32, int_regs=52,
                        branch_predictor="boom2"),
@@ -152,16 +146,17 @@ class TestDSE:
             BoomConfig(core_width=4, issue_slots=32, rob_size=96, int_regs=100,
                        fetch_width=8),
         ]
-        dse = BoomDSE(synthesizer=Synthesizer(effort="low"))
-        result = dse.run(configs)
-        assert len(result.points) == 3
+        result = BoomDSE(predictor=tiny_dse_sns).run(configs)
+        assert [p.config for p in result.points] == configs
         assert result.high_perf.score == pytest.approx(1.0)
+        assert max(p.score for p in result.points) == result.high_perf.score
         assert result.runtime_s > 0
-        # Wider cores should win CoreMark here.
-        assert result.high_perf.config.core_width == 4
+        for pick in (result.high_perf, result.power_eff, result.area_eff):
+            assert pick in result.points
         # Pareto fronts are subsets of the evaluated points.
         assert set(result.pareto_power) <= set(result.points)
+        assert set(result.pareto_area) <= set(result.points)
 
-    def test_empty_configs(self):
+    def test_empty_configs(self, tiny_dse_sns):
         with pytest.raises(ValueError):
-            BoomDSE(synthesizer=Synthesizer(effort="low")).run([])
+            BoomDSE(predictor=tiny_dse_sns).run([])

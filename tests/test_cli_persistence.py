@@ -376,7 +376,7 @@ class TestProfile:
         assert self.counter(out, "trainer.circuitformer.epochs") == 2
         assert self.counter(out, "trainer.aggregator.epochs") == 3 * 4
         for name in ("trainer.circuitformer.steps", "trainer.aggregator.steps",
-                     "trainer.encoding.misses", "trainer.pool.hits"):
+                     "trainer.pool.hits"):
             self.counter(out, name)
         assert re.search(r"^trainer\.bucket_rows\.\d+ +\d+$", out, re.M)
 

@@ -6,8 +6,9 @@ from repro import obs
 from repro.core.sampler import PathSampler
 from repro.designs import standard_designs
 from repro.graphir import CompiledGraph
-from repro.runtime import (FrontendCache, compile_design, compile_module,
-                           compile_source, fingerprint_frontend_module,
+from repro.runtime import (BatchPredictor, FrontendCache, compile_design,
+                           compile_module, compile_source,
+                           fingerprint_frontend_module,
                            fingerprint_frontend_source)
 from repro.store import ArtifactStore, open_backend
 
@@ -187,17 +188,20 @@ class TestEngineIntegration:
         sns.fit(records, synthesizer=synth)
         return sns, entries
 
-    def test_predict_many_with_frontend_cache_is_identical(self, tiny_sns):
+    def test_batch_with_frontend_cache_is_identical(self, tiny_sns):
         # Module inputs through the compiled front end + FrontendCache
         # must match predictions on plain elaborated graphs.
         sns, entries = tiny_sns
         modules = [e.module for e in entries]
         graphs = [e.module.elaborate() for e in entries]
         fe = FrontendCache()
-        cached = sns.predict_many(modules, frontend_cache=fe)
-        # Second pass: everything (graphs + paths) replays from the cache.
-        replayed = sns.predict_many(modules, frontend_cache=fe)
-        plain = sns.predict_many(graphs)
+        cached = BatchPredictor(sns, frontend_cache=fe).predict_batch(modules)
+        # Second pass, with a fresh prediction store: everything (graphs
+        # + paths) replays from the front-end cache.
+        replayed = BatchPredictor(sns, frontend_cache=fe).predict_batch(modules)
+        counts = fe.store.counters(("graph", "paths"))
+        assert counts["misses"] == counts["object_hits"] == 2 * len(modules)
+        plain = BatchPredictor(sns).predict_batch(graphs)
         for a, b, c in zip(cached, replayed, plain):
             assert a.timing_ps == c.timing_ps == b.timing_ps
             assert a.area_um2 == c.area_um2 == b.area_um2

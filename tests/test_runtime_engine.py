@@ -107,20 +107,19 @@ class TestEngineEquivalence:
         assert engine.store.memory_len("prediction") == 1
         assert len({p.timing_ps for p in preds}) == 1
 
-    def test_predict_many_routes_through_engine(self, tiny_sns, graphs):
+    def test_throwaway_predictor_keeps_nothing(self, tiny_sns, graphs):
         sns, _ = tiny_sns
-        many = sns.predict_many(graphs)
-        for graph, p in zip(graphs, many):
+        for _ in range(2):
+            engine = BatchPredictor(sns)
+            batch = engine.predict_batch(graphs)
+            # Each predictor keys the batch in its own fresh store.
+            counts = engine.store.counters(("prediction",))
+            assert counts["misses"] == len(graphs)
+            assert counts["memory_hits"] == counts["persistent_hits"] == 0
+        for graph, p in zip(graphs, batch):
             s = sns.predict(graph)
             assert (s.timing_ps, s.area_um2, s.power_mw) == \
                 (p.timing_ps, p.area_um2, p.power_mw)
-
-    def test_uncached_engine(self, tiny_sns, graphs):
-        sns, _ = tiny_sns
-        engine = BatchPredictor(sns, caching=False)
-        assert engine.store is None
-        preds = engine.predict_batch(graphs[:2])
-        assert preds[0].timing_ps == sns.predict(graphs[0]).timing_ps
 
     def test_empty_batch(self, tiny_sns):
         sns, _ = tiny_sns
