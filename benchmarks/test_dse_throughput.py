@@ -8,8 +8,9 @@ Two measurements on the paper's Figure-8 BOOM space, plus a scale probe:
   rung-1 budget of 220 evaluations (<10% of the space) — warmup,
   surrogate-predicted extremes, per-objective hill climbs, gap filling;
 - streaming scale probe: the ~1.12M-config ``extended_grid`` swept
-  without materializing the product, with the peak number of live
-  ``BoomCore`` modules (counted through weak references) <= chunk.
+  without materializing the product, with the peak numbers of live
+  ``BoomCore`` modules and of live compiled graphs (both counted
+  through weak references) <= chunk.
 
 Asserted floors: >= 10x wall-clock speedup over the exhaustive sweep
 and >= 95% mean hypervolume recovery on the Figure-8 2-objective
@@ -173,16 +174,25 @@ def test_million_config_stream(bench_sns, monkeypatch):
     grid = extended_grid()
     assert len(grid) > 1_000_000
 
-    # Count the sweep's live modules: every BoomCore the engine builds
-    # joins a weak set, so the set holds exactly the ones still alive.
+    # Count the sweep's live modules and graphs: every BoomCore the
+    # engine builds, and every graph one elaborates, joins a weak set,
+    # so each set holds exactly the ones still alive.
     live = weakref.WeakSet()
     peak = [0]
+    graphs = weakref.WeakSet()
+    graph_peak = [0]
 
     class CountedCore(BoomCore):
         def __init__(self, config):
             super().__init__(config)
             live.add(self)
             peak[0] = max(peak[0], len(live))
+
+        def elaborate(self):
+            graph = super().elaborate()
+            graphs.add(graph)
+            graph_peak[0] = max(graph_peak[0], len(graphs))
+            return graph
 
     monkeypatch.setattr(boom_dse, "BoomCore", CountedCore)
     dse = BoomDSE(predictor=bench_sns)
@@ -193,10 +203,13 @@ def test_million_config_stream(bench_sns, monkeypatch):
 
     print(f"\nStreaming sweep of {len(grid)} configs: "
           f"{len(eng.points)} evaluated, {eng.candidates} candidates, "
-          f"peak live modules {peak[0]}, {eng.runtime_s:.1f} s")
+          f"peak live modules {peak[0]}, peak live graphs {graph_peak[0]}, "
+          f"{eng.runtime_s:.1f} s")
 
     assert len(eng.points) == 64
     assert 0 < peak[0] <= chunk
+    # Graphs die with their chunk: nothing keeps them across chunks.
+    assert 0 < graph_peak[0] <= chunk
     assert len(eng.front) >= 1
 
     d = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
@@ -204,6 +217,7 @@ def test_million_config_stream(bench_sns, monkeypatch):
         "space": len(grid), "evaluated": len(eng.points),
         "candidates": eng.candidates,
         "peak_live_modules": peak[0],
+        "peak_live_graphs": graph_peak[0],
         "wall_s": eng.runtime_s,
     }
     BENCH_JSON.write_text(json.dumps(d, indent=2) + "\n")

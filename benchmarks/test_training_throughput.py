@@ -9,7 +9,8 @@ short combinational hops, a 10% long tail) two ways:
   longest record, allocate-per-step ``ReferenceAdam``, autograd graph
   kept until garbage collection;
 - **engine**: :class:`repro.runtime.TrainingEngine` with length-bucketed
-  minibatching, fused in-place optimizer steps (clipping folded in),
+  minibatching (``TrainingConfig(bucketed=True)``; the reference loop
+  ignores the flag), fused in-place optimizer steps (clipping folded in),
   graph-freeing backward, and epoch-persistent bucket encodings.
 
 A second, smaller pass runs each loop under ``tracemalloc`` to compare
@@ -47,7 +48,8 @@ BENCH_JSON = ROOT / "BENCH_training.json"
 # Table 2 widths; max input bounded to the synthetic dataset's long tail.
 BENCH_CF = CircuitformerConfig(max_input_size=192)
 NUM_RECORDS = 256
-CONFIG = TrainingConfig(circuitformer_epochs=1, circuitformer_batch=32, seed=0)
+CONFIG = TrainingConfig(circuitformer_epochs=1, circuitformer_batch=32, seed=0,
+                        bucketed=True)
 MEM_RECORDS = 96  # smaller pass: tracemalloc multiplies runtime
 
 
@@ -88,7 +90,7 @@ def _time_baseline(records):
 
 
 def _time_engine(records):
-    engine = TrainingEngine(bucketed=True)
+    engine = TrainingEngine()
     model = Circuitformer(BENCH_CF, seed=0)
     start = time.perf_counter()
     with obs.record() as recorder:
@@ -129,7 +131,7 @@ def test_training_throughput(benchmark):
         lambda: train_circuitformer_reference(
             Circuitformer(BENCH_CF, seed=0), mem_records, CONFIG))
     engine_peak = _peak_alloc_mb(
-        lambda: TrainingEngine(bucketed=True).train_circuitformer(
+        lambda: TrainingEngine().train_circuitformer(
             Circuitformer(BENCH_CF, seed=0), mem_records, CONFIG))
 
     result = {

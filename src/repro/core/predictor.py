@@ -123,7 +123,7 @@ class SNS:
         Dataset (skipping sampling + labeling).
 
         Both models train through one shared
-        :class:`repro.runtime.trainer.TrainingEngine` built from
+        :class:`repro.runtime.trainer.TrainingEngine` under
         ``training_config``: bucket encodings persist across epochs, the
         design features feeding the aggregator ensemble are computed
         once (``PathSampler.sample`` reseeds per call, so sharing is
@@ -143,7 +143,7 @@ class SNS:
                     synthesizer=synthesizer, vocab=self.vocab)
         if verbose:
             print(f"[sns] circuit path dataset: {len(path_records)} paths")
-        engine = TrainingEngine.from_config(self.training_config)
+        engine = TrainingEngine()
         self.circuitformer_history = train_circuitformer(
             self.circuitformer, path_records, self.training_config,
             verbose=verbose, engine=engine)

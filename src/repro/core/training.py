@@ -78,13 +78,14 @@ def train_circuitformer(model: Circuitformer, records: list[PathRecord],
                         verbose: bool = False, engine=None) -> list[EpochStats]:
     """Fit the Circuitformer on the Circuit Path Dataset; returns curves.
 
-    Delegates to a :class:`repro.runtime.trainer.TrainingEngine` built
-    from ``config`` (pass ``engine`` to share one across calls).
+    Delegates to a :class:`repro.runtime.trainer.TrainingEngine`, which
+    reads ``config.bucketed`` (pass ``engine`` to share one across
+    calls).
     """
     from ..runtime.trainer import TrainingEngine
 
     config = config or TrainingConfig()
-    engine = engine or TrainingEngine.from_config(config)
+    engine = engine or TrainingEngine()
     return engine.train_circuitformer(model, records, config, verbose=verbose)
 
 
@@ -105,6 +106,6 @@ def train_aggregator(mlp: AggregationMLP, designs: list[DesignRecord],
     from ..runtime.trainer import TrainingEngine
 
     config = config or TrainingConfig()
-    engine = engine or TrainingEngine.from_config(config)
+    engine = engine or TrainingEngine()
     return engine.train_aggregator(mlp, designs, circuitformer, sampler,
                                    config, verbose=verbose, features=features)

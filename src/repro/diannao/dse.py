@@ -111,21 +111,13 @@ class DianNaoDSE:
             accuracy=datatype_accuracy(config.datatype),
         )
 
-    def evaluate(self, config: DianNaoConfig) -> DianNaoPoint:
-        graph, report, activity = self._prepare(config)
-        if self._batch_engine is not None:
-            pred = self._batch_engine.predict_batch(
-                [graph], activity_maps=[activity])[0]
-            timing, area, power = pred.timing_ps, pred.area_um2, pred.power_mw
-        else:
-            result = self.synthesizer.synthesize(graph, activity=activity)
-            timing, area, power = result.timing_ps, result.area_um2, result.power_mw
-        return self._make_point(config, report, timing, area, power)
-
     def run(self, configs: list[DianNaoConfig], verbose: bool = False) -> DianNaoDSEResult:
-        """SNS-backed runs go through the batched runtime: the Table 13
+        """Evaluate every configuration, in order.
+
+        SNS-backed runs go through the batched runtime: the Table 13
         space shares most of its multiplier/adder-tree paths across ``tn``
-        values, so cross-config path dedup does the heavy lifting."""
+        values, so cross-config path dedup does the heavy lifting.  The
+        synthesizer labels one configuration at a time."""
         if not configs:
             raise ValueError("no configurations to explore")
         start = time.perf_counter()
@@ -142,7 +134,10 @@ class DianNaoDSE:
         else:
             points = []
             for i, config in enumerate(configs):
-                points.append(self.evaluate(config))
+                graph, report, activity = self._prepare(config)
+                result = self.synthesizer.synthesize(graph, activity=activity)
+                points.append(self._make_point(config, report, result.timing_ps,
+                                               result.area_um2, result.power_mw))
                 if verbose and (i + 1) % 50 == 0:
                     print(f"[diannao-dse] {i + 1}/{len(configs)} evaluated")
         return DianNaoDSEResult(points=tuple(points),

@@ -19,8 +19,8 @@ order.
    with an online ridge surrogate fitted to the configurations
    evaluated so far (parameter digits -> log timing/area/power) — a few
    microseconds per config.  Rung 1 spends the real budget
-   (factory -> cached compile -> batched SNS prediction, or the
-   reference synthesizer) in four moves:
+   (factory -> elaborate -> batched SNS prediction, or the
+   synthesizer) in four moves:
 
    a. a seeded random *warmup* (surrogate training set, unbiased
       coverage) of a quarter of the budget, and never fewer than the
@@ -280,11 +280,9 @@ class ExplorationEngine:
     factory:
         ``factory(**params) -> Module`` for one grid point.
     engine:
-        A fitted :class:`SNS` (rung-1 evaluations compile through a
-        :class:`~repro.runtime.DeltaElaborator` and predict through the
-        batched runtime) or a
-        :class:`Synthesizer` (rung-1 synthesizes directly — the
-        ground-truth mode small parity tests use).
+        A fitted :class:`SNS` (rung-1 evaluations predict through the
+        batched runtime) or a :class:`Synthesizer` (rung-1 synthesizes
+        directly — the ground-truth mode small parity tests use).
     grid:
         The design space.
     score:
@@ -309,13 +307,10 @@ class ExplorationEngine:
         self.score = score
         self.config = config or EngineConfig()
         if isinstance(engine, SNS):
-            from ..runtime import BatchPredictor, DeltaElaborator
+            from ..runtime import BatchPredictor
 
-            self.delta = DeltaElaborator()
-            self._batch_engine = BatchPredictor(
-                engine, frontend_cache=self.delta.cache)
+            self._batch_engine = BatchPredictor(engine)
         else:
-            self.delta = None
             self._batch_engine = None
 
     # ------------------------------------------------------------------ #
@@ -330,29 +325,21 @@ class ExplorationEngine:
                                area_um2=area, power_mw=power, score=score)
 
     def _evaluate_chunk(self, params_list: list[dict]) -> list[EvaluatedDesign]:
-        """Rung 1 for one chunk: factory -> compile -> predict/synthesize.
+        """Rung 1 for one chunk: factory -> elaborate -> predict/synthesize.
 
-        Modules are compiled (or synthesized) one at a time and dropped
-        immediately; only their compiled graphs ride into the batched
-        predictor, so at most one module is alive at a time.
+        Each module is dropped as soon as it is elaborated, so at most
+        one is alive; the chunk's graphs go to the batched predictor (or
+        the synthesizer) and die when the chunk returns.  No front-end
+        cache: a sweep evaluates each grid point once, so a kept graph
+        would never be looked up again.
         """
+        graphs = [self.factory(**params).elaborate() for params in params_list]
         if self._batch_engine is not None:
-            graphs = []
-            for params in params_list:
-                module = self.factory(**params)
-                graphs.append(self.delta.compile(module))
-                del module
-            preds = self._batch_engine.predict_batch(graphs)
-            return [self._score_point(params, p.timing_ps, p.area_um2, p.power_mw)
-                    for params, p in zip(params_list, preds)]
-        out = []
-        for params in params_list:
-            module = self.factory(**params)
-            result = self.engine.synthesize(module.elaborate())
-            del module
-            out.append(self._score_point(params, result.timing_ps,
-                                         result.area_um2, result.power_mw))
-        return out
+            results = self._batch_engine.predict_batch(graphs)
+        else:
+            results = [self.engine.synthesize(graph) for graph in graphs]
+        return [self._score_point(params, r.timing_ps, r.area_um2, r.power_mw)
+                for params, r in zip(params_list, results)]
 
     def _surrogate_objectives(self, indices: list[int], digits: np.ndarray,
                               surrogate: _Surrogate) -> np.ndarray:

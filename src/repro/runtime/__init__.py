@@ -17,7 +17,8 @@ Layers a batched, cached serving engine over the core SNS predictor:
   — the content-addressed compiled front end (source -> CompiledGraph
   -> sampled paths) over the store's ``graph`` and ``paths`` kinds;
   :class:`DeltaElaborator` is ``compile_module``'s lookup with hit
-  counts, as the DSE engine uses it.
+  counts, kept only as a patch target of the end-to-end benchmark's
+  tracer.
 - Fingerprint helpers for cache keying and invalidation.
 """
 

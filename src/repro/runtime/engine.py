@@ -135,9 +135,9 @@ class BatchPredictor:
         self.sns = sns
         self.store = store if store is not None else ArtifactStore()
         self.encoding_cache = encoding_cache
-        # Optional repro.runtime.FrontendCache: Modules skip elaboration
-        # on repeat configurations and sampled paths replay from the
-        # (graph content x sampler) tier.
+        # Optional repro.runtime.FrontendCache (a served model keeps
+        # one): Modules skip elaboration on repeat configurations and
+        # sampled paths replay from the (graph content x sampler) tier.
         self.frontend_cache = frontend_cache
 
     # ------------------------------------------------------------------ #

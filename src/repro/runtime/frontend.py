@@ -8,8 +8,8 @@
   CompiledGraph, and a second kind keyed on (graph content x sampler
   config) replays previously sampled paths.  The sampler is
   deterministic, so replayed paths equal a fresh sample exactly.
-- :class:`DeltaElaborator` is the DSE engine's compiler: the same
-  module-keyed graph lookup as :func:`compile_module`, with hit counts.
+- :class:`DeltaElaborator` is :func:`compile_module`'s module-keyed
+  graph lookup with hit counts; nothing in ``repro`` calls it.
 - Under an open :func:`repro.obs.record`, the graph lookup, path
   sampling and (inside the Verilog front end) lex, parse and elaborate
   record spans, which ``repro compile --profile`` prints.
@@ -211,7 +211,8 @@ def compile_module(module, cache: FrontendCache | None = None) -> CompiledGraph:
     """Compile a :class:`repro.hdl.Module` to a :class:`CompiledGraph`.
 
     Cached under the module's class-source x parameter fingerprint, so a
-    DSE sweep revisiting a configuration skips elaboration entirely.
+    configuration compiled again through the same cache skips
+    elaboration entirely.
     """
     if cache is not None:
         key = fingerprint_frontend_module(module)
@@ -225,15 +226,19 @@ def compile_module(module, cache: FrontendCache | None = None) -> CompiledGraph:
 
 
 class DeltaElaborator:
-    """The DSE engine's Module compiler: one :class:`FrontendCache` lookup.
+    """A Module compiler: one :class:`FrontendCache` lookup with hit counts.
 
     :meth:`compile` looks the graph up under
     :func:`fingerprint_frontend_module`, the key :func:`compile_module`
     uses (so the two share entries), elaborates only on a miss, and
-    counts ``compiles`` and ``graph_hits``.  It is a class rather than
-    a call to :func:`compile_module` only because the end-to-end
-    benchmark's tracer patches ``DeltaElaborator.compile`` and reads
-    ``stats["graph_hits"]``.
+    counts ``compiles`` and ``graph_hits``.
+
+    Nothing in ``repro`` calls it (a DSE sweep evaluates each grid point
+    once, so the engine elaborates directly).  It stays only as a patch
+    target: the end-to-end benchmark's tracer patches
+    ``DeltaElaborator.compile`` for its ``dse.delta.graph_hits`` metric,
+    and ``tests/test_e2e_tracer_targets.py`` fails on a missing target;
+    it goes with that metric.
     """
 
     def __init__(self, cache: FrontendCache | None = None):

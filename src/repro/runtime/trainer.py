@@ -25,13 +25,14 @@ in four ways:
    :class:`PreparedPathDataset` and sliced per batch for every epoch,
    instead of re-padding per step.
 
-Compatibility: ``TrainingEngine(bucketed=False)`` replicates the
-reference loops' padding, batch composition, and RNG consumption
-*exactly*, so its loss curves and final weights match the seed
-implementation to the last bit (asserted in the test suite).  Bucketed
-mode changes padded widths — and therefore BLAS kernel selection and
-rounding — so it reproduces the seed curves statistically, not bitwise
-(the same caveat ``predict_unique`` documents for inference).
+``TrainingConfig.bucketed`` is the one switch.  Compatibility mode
+(``bucketed=False``, the default) replicates the reference loops'
+padding, batch composition, and RNG consumption *exactly*, so its loss
+curves and final weights match the seed implementation to the last bit
+(asserted in the test suite).  Bucketed mode changes padded widths —
+and therefore BLAS kernel selection and rounding — so it reproduces
+the seed curves statistically, not bitwise (the same caveat
+``predict_unique`` documents for inference).
 """
 
 from __future__ import annotations
@@ -164,13 +165,12 @@ class PreparedPathDataset:
 class TrainingEngine:
     """Length-bucketed, fused-optimizer training over the nn stack.
 
-    Parameters
-    ----------
-    bucketed:
-        Group records into padded-length buckets (throughput mode).
-        ``False`` is the compatibility mode: padding, batch composition,
-        and RNG consumption replicate the reference loops exactly, so
-        the engine reproduces the seed loss curves bit-for-bit.
+    The Circuitformer run's ``TrainingConfig.bucketed`` picks the mode:
+    ``True`` groups records into padded-length buckets (throughput
+    mode); ``False`` is the compatibility mode, whose padding, batch
+    composition, and RNG consumption replicate the reference loops
+    exactly, so the engine reproduces the seed loss curves bit-for-bit.
+    The mode rides on the :class:`PreparedPathDataset` the run builds.
 
     Under an open :func:`repro.obs.record`, each run is a
     ``trainer.circuitformer`` or ``trainer.aggregator`` span whose
@@ -180,13 +180,6 @@ class TrainingEngine:
     padded width (``trainer.bucket_rows.<width>``) and the scratch-pool
     statistics' growth during the run.
     """
-
-    def __init__(self, bucketed: bool = True):
-        self.bucketed = bool(bucketed)
-
-    @classmethod
-    def from_config(cls, config: TrainingConfig) -> "TrainingEngine":
-        return cls(bucketed=config.bucketed)
 
     # ------------------------------------------------------------------ #
     # Circuitformer
@@ -208,7 +201,7 @@ class TrainingEngine:
                               max(len(r.tokens) for r in records))
                 prepared = PreparedPathDataset(
                     [r.tokens for r in records], model.vocab, max_len,
-                    bucketed=self.bucketed)
+                    bucketed=config.bucketed)
             for bucket, rows in prepared.bucket_histogram().items():
                 obs.count(f"trainer.bucket_rows.{bucket}", rows)
 
@@ -259,7 +252,7 @@ class TrainingEngine:
         bucket, chunks each group, then permutes the batch list — two
         draws per epoch, but still a pure function of the seed stream.
         """
-        if not self.bucketed:
+        if not prepared.bucketed:
             order = rng.permutation(train_idx)
             for lo in range(0, len(order), batch_size):
                 yield order[lo:lo + batch_size]
@@ -275,7 +268,7 @@ class TrainingEngine:
     def _validation_loss(self, model, prepared: PreparedPathDataset,
                          val_idx: np.ndarray, targets: np.ndarray) -> float:
         with nn.no_grad():
-            if not self.bucketed:
+            if not prepared.bucketed:
                 ids, mask = prepared.slice(val_idx)
                 val_pred = model.forward(ids, mask)
                 return nn.mse_loss(val_pred, targets[val_idx]).item()

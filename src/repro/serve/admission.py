@@ -47,19 +47,20 @@ class TokenBucket:
 class RateLimiter:
     """Per-client token buckets (client id -> bucket), LRU-bounded.
 
-    ``rate=None`` disables limiting entirely.  The bucket table is
+    ``rate=None`` disables limiting entirely.  Each bucket holds
+    ``max(1, rate)`` tokens: a client may burst one second's worth of
+    requests, and always at least one.  The bucket table is
     capped at ``max_clients`` (least-recently-seen evicted first) so an
     adversarial stream of fresh client ids cannot grow memory without
     bound — an evicted client simply starts over with a full bucket.
     """
 
-    def __init__(self, rate: float | None, burst: float | None = None,
-                 max_clients: int = 4096, clock=time.monotonic):
+    def __init__(self, rate: float | None, max_clients: int = 4096,
+                 clock=time.monotonic):
         if rate is not None and rate <= 0:
             raise ValueError(f"rate must be positive or None: {rate}")
         self.rate = rate
-        self.burst = burst if burst is not None else (
-            max(1.0, rate) if rate is not None else 0.0)
+        self.burst = max(1.0, rate) if rate is not None else 0.0
         self.max_clients = max_clients
         self.clock = clock
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()

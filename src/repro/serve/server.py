@@ -51,7 +51,6 @@ class ServeConfig:
     max_queue: int = 256               # queued requests before 503s
     workers: int = 4                   # thread pool width
     rate_limit: float | None = None    # per-client requests/sec (None = off)
-    burst: float | None = None         # bucket capacity (default max(1, rate))
     request_timeout_s: float = 30.0    # per-request deadline -> 504
     cache_dir: str | None = None       # persistent cache root
     allow_train: bool = True           # expose POST /train
@@ -89,7 +88,7 @@ class PredictionServer:
         cfg = self.config
         self.registry = registry or ModelRegistry(cache_dir=cfg.cache_dir)
         self.metrics = ServerMetrics()
-        self.limiter = RateLimiter(cfg.rate_limit, cfg.burst)
+        self.limiter = RateLimiter(cfg.rate_limit)
         self._pool = ThreadPoolExecutor(
             max_workers=cfg.workers, thread_name_prefix="repro-serve")
         self._batchers: dict[str, MicroBatchQueue] = {}

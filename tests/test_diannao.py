@@ -189,9 +189,9 @@ class TestDSE:
     def test_power_gating_reduces_power(self):
         cfg = DianNaoConfig(tn=8, datatype="int16")
         gated = DianNaoDSE(synthesizer=Synthesizer(effort="low"),
-                           use_power_gating=True).evaluate(cfg)
+                           use_power_gating=True).run([cfg]).points[0]
         plain = DianNaoDSE(synthesizer=Synthesizer(effort="low"),
-                           use_power_gating=False).evaluate(cfg)
+                           use_power_gating=False).run([cfg]).points[0]
         assert gated.power_mw < plain.power_mw
 
     def test_empty_run(self):

@@ -286,21 +286,30 @@ class TestEngineRungsAndErrors:
 
 # ---------------------------------------------------------------------- #
 def live_module_probe():
-    """A SIMDALU factory that tracks its live modules.
+    """A SIMDALU factory that tracks its live modules and their graphs.
 
-    Returns ``(factory, live, peak)``: ``live`` is a weak set of the
-    modules still alive and ``peak()`` the most that were alive at once.
+    Returns ``(factory, live, peak, graphs)``: ``live`` is a weak set of
+    the modules still alive, ``peak()`` the most that were alive at
+    once, and ``graphs`` a weak set of the compiled graphs those modules
+    elaborated that are still alive.
     """
     live = weakref.WeakSet()
+    graphs = weakref.WeakSet()
     most = [0]
 
+    class TrackedALU(SIMDALU):
+        def elaborate(self):
+            graph = super().elaborate()
+            graphs.add(graph)
+            return graph
+
     def factory(**params):
-        module = SIMDALU(**params)
+        module = TrackedALU(**params)
         live.add(module)
         most[0] = max(most[0], len(live))
         return module
 
-    return factory, live, lambda: most[0]
+    return factory, live, lambda: most[0], graphs
 
 
 class TestChunkedExplorerStreaming:
@@ -320,13 +329,15 @@ class TestChunkedExplorerStreaming:
         assert _metrics(r_big.points) == _metrics(r_small.points)
 
     def test_peak_live_modules_bounded_by_chunk(self, tiny_sns):
-        """Measured: modules are dropped one by one, whatever the chunk."""
-        factory, live, peak = live_module_probe()
+        """Measured: modules are dropped one by one, whatever the chunk,
+        and no compiled graph outlives the sweep while the engine lives."""
+        factory, live, peak, graphs = live_module_probe()
         engine = ExplorationEngine(factory, tiny_sns, self.GRID)
         for chunk in (3, 5):
             engine.explore(chunk=chunk)
             assert peak() == 1
             assert len(live) == 0
+            assert len(graphs) == 0
 
     def test_invalid_chunk_size(self, tiny_sns):
         engine = ExplorationEngine(SIMDALU, tiny_sns, self.GRID)
@@ -334,7 +345,7 @@ class TestChunkedExplorerStreaming:
             engine.explore(chunk=0)
 
     def test_engine_with_sns_chunk_invariant(self, tiny_sns):
-        factory, live, peak = live_module_probe()
+        factory, live, peak, graphs = live_module_probe()
 
         def run(chunk):
             engine = ExplorationEngine(
@@ -342,7 +353,10 @@ class TestChunkedExplorerStreaming:
                 config=EngineConfig(budget=10, predict_budget=6, block=5,
                                     chunk=chunk, seed=1, refit_every=3,
                                     min_fit=3))
-            return engine.explore()
+            result = engine.explore()
+            # The engine is still alive; its sweep's graphs are not.
+            assert len(graphs) == 0
+            return result
 
         r1, r2 = run(2), run(12)
         assert _metrics(r1.points) == _metrics(r2.points)

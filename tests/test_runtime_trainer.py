@@ -150,9 +150,10 @@ class TestBucketedMode:
 
         monkeypatch.setattr("repro.runtime.trainer.encode_batch",
                             counting_encode)
-        engine = TrainingEngine(bucketed=True)
+        engine = TrainingEngine()
         model = Circuitformer(TINY_CF, seed=0)
-        config = TrainingConfig(circuitformer_epochs=2, circuitformer_batch=16)
+        config = TrainingConfig(circuitformer_epochs=2, circuitformer_batch=16,
+                                bucketed=True)
         with obs.record() as recorder:
             hist = engine.train_circuitformer(model, records, config)
         assert len(hist) == 2
@@ -177,7 +178,7 @@ class TestBucketedMode:
         assert "  trainer.backward" in text and "trainer.bucket_rows." in text
 
     def test_batches_cover_every_row_once(self, records):
-        engine = TrainingEngine(bucketed=True)
+        engine = TrainingEngine()
         prepared = PreparedPathDataset([r.tokens for r in records], VOCAB,
                                        max_len=63, bucketed=True)
         train_idx = np.arange(len(records))

@@ -263,7 +263,8 @@ class TestSingleFlight:
 class TestAdmission:
     def test_rate_limit_429_and_metrics(self, tiny_sns):
         sns, _ = tiny_sns
-        _, thread = serve(sns, rate_limit=2.0, burst=2.0)
+        # Each client's bucket holds max(1, rate) = 2 tokens.
+        _, thread = serve(sns, rate_limit=2.0)
         with thread as handle:
             # Warm compile + prediction caches from an unmetered client so
             # the greedy burst below is near-instant (no token refill).
